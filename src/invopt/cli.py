@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +31,7 @@ from .sensitivity import (
     sensitivity_resim,
 )
 from .simengine import (
+    MAX_POLICY_UNITS,
     ContinuousReview,
     PeriodicReview,
     SimConfig,
@@ -49,8 +48,8 @@ from .stochastic import RNG_ALGORITHM, DemandModel, RngStream
 class RunManifest:
     """Provenance attached to every emitted report.
 
-    The timestamp is diagnostic only (stderr); report bytes carry just the
-    deterministic fields so identical runs produce identical reports.
+    Only deterministic fields are recorded, so identical runs produce
+    identical reports.
     """
 
     subcommand: str
@@ -59,7 +58,6 @@ class RunManifest:
     config: dict
     version: str = __version__
     rng_algorithm: str = RNG_ALGORITHM
-    timestamp: str = ""
 
     def comment_lines(self) -> list[str]:
         lines = [
@@ -80,7 +78,6 @@ def _manifest(args, **config) -> RunManifest:
         catalog_path=args.catalog or "",
         seed=args.seed,
         config=config,
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
 
 
@@ -117,9 +114,6 @@ def _global_flags(parser, suppress: bool) -> None:
                         help="product catalog CSV")
     parser.add_argument("--seed", type=int, default=s if suppress else 0,
                         help="base random seed")
-    parser.add_argument("--threads", type=int,
-                        default=s if suppress else (os.cpu_count() or 1),
-                        help="worker threads for replications (output is thread-count invariant)")
     parser.add_argument("--out-dir", default=s if suppress else None,
                         help="write reports here instead of stdout")
 
@@ -211,6 +205,13 @@ def _load_json(path: str):
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
 
 
+def _whole(value) -> int:
+    """A parameter value as an int; booleans and fractions are rejected, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def _load_params(path: str, kind: str) -> dict:
     raw = _load_json(path)
     params = {}
@@ -218,11 +219,11 @@ def _load_params(path: str, kind: str) -> dict:
         try:
             if kind == "pq":
                 params[name] = PeriodicReview(
-                    int(fields.get("review_period", 30)), int(fields["order_up_to"])
+                    _whole(fields.get("review_period", 30)), _whole(fields["order_up_to"])
                 )
             else:
                 params[name] = ContinuousReview(
-                    int(fields["reorder_point"]), int(fields["order_quantity"])
+                    _whole(fields["reorder_point"]), _whole(fields["order_quantity"])
                 )
         except KeyError as exc:
             raise ConfigError(f"{path}: product {name!r}: missing field {exc}") from None
@@ -308,7 +309,8 @@ def _cmd_simulate(args) -> int:
             raise ConfigError(f"{args.params}: missing params for product {product.name!r}")
         policy = params[product.name]
         demand = _demand_model(product)
-        stats = replicate(product, demand, policy, cfg, threads=args.threads)
+        runs = replication_samples(product, demand, policy, cfg)
+        stats = runs.stats()
         lines.append(
             f"{product.name},{args.policy},{_money(stats.mean_profit)},"
             f"{_money(stats.profit_std)},{stats.lost_order_fraction:.4f},"
@@ -322,9 +324,8 @@ def _cmd_simulate(args) -> int:
                     f"{rec.on_hand_end},{rec.on_order},{rec.order_placed},{rec.receipt}"
                 )
         if args.emit_histogram:
-            samples = replication_samples(product, demand, policy, cfg, threads=args.threads)
-            for metric, values in (("profit", samples.profit),
-                                   ("lost_orders", samples.lost_order_fraction)):
+            for metric, values in (("profit", runs.profit),
+                                   ("lost_orders", runs.lost_order_fraction)):
                 hist = emit_histogram(values, args.bins).splitlines()[1:]
                 histogram_lines.extend(f"{metric}:{product.name},{row}" for row in hist)
     manifest = _manifest(args, policy=args.policy, params=args.params,
@@ -352,7 +353,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--oup-range must be LO:HI, got {args.oup_range!r}") from None
     cfg = _sim_config(args)
     results = sweep_oup(product, _demand_model(product), cfg, (lo, hi),
-                        step=args.step, review_period=args.review, threads=args.threads)
+                        step=args.step, review_period=args.review)
     lines = ["order_up_to,mean_profit,profit_std,lost_order_fraction,fill_rate,"
              "mean_orders_placed"]
     for oup, stats in results:
@@ -375,7 +376,6 @@ def _cmd_compare(args) -> int:
         catalog, cfg,
         _load_params(args.pq_params, "pq"),
         _load_params(args.rq_params, "rq"),
-        threads=args.threads,
     )
     lines = ["product,policy,mean_profit,profit_std,lost_order_fraction,fill_rate"]
     for name, (pq_stats, rq_stats) in comparison.per_product.items():
@@ -397,9 +397,11 @@ def _cmd_optimize(args) -> int:
     catalog = _require_catalog(args)
     mode = "oup" if args.objective == "oup-per-product" else args.objective
     sim_cfg = SimConfig(horizon=args.horizon, replications=args.replications, seed=args.seed)
-    objective = policy_profit_objective(catalog, sim_cfg, mode, threads=args.threads)
+    objective = policy_profit_objective(catalog, sim_cfg, mode)
     if args.bounds:
         bounds = tuple((float(lo), float(hi)) for lo, hi in _load_json(args.bounds))
+        if any(not abs(v) <= MAX_POLICY_UNITS for pair in bounds for v in pair):
+            raise ConfigError(f"{args.bounds}: bounds must lie within +-2**40")
     else:
         bounds = tuple((1.0, 5000.0) for _ in range(objective.dim))
     if len(bounds) != objective.dim:
@@ -414,7 +416,7 @@ def _cmd_optimize(args) -> int:
             weights=tuple(map(float, raw.get("weights", ()))),
         )
     cfg = BoConfig(bounds=bounds, budget=args.budget, initial_design=args.initial_design,
-                   acquisition=args.acquisition, seed=args.seed, objective_seed=args.seed)
+                   acquisition=args.acquisition, seed=args.seed)
     result = bo_run(objective, cfg, conditioning)
     coord_names = ",".join(f"x_{p.name}" for p in catalog)
     lines = [f"iteration,{coord_names},y,incumbent"]
@@ -449,14 +451,13 @@ def _cmd_sensitivity(args) -> int:
     if args.mode == "resim":
         for variable in variables:
             spec = SensitivitySpec(variable, deltas, mode="resim")
-            rows.extend(sensitivity_resim(catalog, params, cfg, spec, threads=args.threads))
+            rows.extend(sensitivity_resim(catalog, params, cfg, spec))
     else:
         baseline = {}
         for product in catalog:
             if product.name not in params:
                 raise ConfigError(f"{args.params}: missing params for {product.name!r}")
-            stats = replicate(product, _demand_model(product), params[product.name],
-                              cfg, threads=args.threads)
+            stats = replicate(product, _demand_model(product), params[product.name], cfg)
             baseline[product.name] = BaselineOutputs.from_stats(
                 stats, policy_safety_stock(product, params[product.name]))
         for variable in variables:

@@ -326,13 +326,13 @@ def gp_fit(
     starts = []
     if initial is not None:
         kern0, noise0 = initial
-        start = np.concatenate((
+        start = np.hstack((
             [math.log(kern0.signal_variance / sd**2)],
             np.log(np.asarray(kern0.length_scales) / width),
             [math.log(max(noise0 / sd**2, hb.noise_variance[0]))],
         ))
         starts.append(start)
-    starts.append(np.concatenate(([0.0], np.full(d, math.log(0.3)), [math.log(1e-4)])))
+    starts.append(np.hstack(([0.0], np.full(d, math.log(0.3)), [math.log(1e-4)])))
     rng = np.random.default_rng(seed)
     lo_b = np.array([b[0] for b in log_bounds])
     hi_b = np.array([b[1] for b in log_bounds])
@@ -447,7 +447,6 @@ class BoConfig:
     initial_design: int = 8
     acquisition: str = "ei"     # "ei" or "pi"
     seed: int = 0               # drives the design and candidate generation
-    objective_seed: int = 0     # common-random-numbers seed for noisy objectives
 
     def __post_init__(self) -> None:
         if not self.bounds:
@@ -539,7 +538,7 @@ def propose_next(
         pool_acq.append(np.array([-res.fun]))
 
     all_pts = np.vstack(pool_pts)
-    all_acq = np.concatenate(pool_acq)
+    all_acq = np.hstack(pool_acq)
     best = float(np.max(all_acq))
     tied = np.flatnonzero(all_acq >= best - 1e-12)
     lex = np.lexsort(all_pts[tied].T[::-1])
@@ -562,9 +561,9 @@ def bo_run(
     """Sequential optimization: a Latin-hypercube initial design, then
     fit-propose-evaluate until the evaluation budget is exhausted.
 
-    Deterministic given (cfg.seed, cfg.objective_seed); the objective must be
-    a deterministic function of x (noisy simulators should fix a
-    common-random-numbers seed, see cfg.objective_seed).
+    Deterministic given cfg.seed, provided the objective is a deterministic
+    function of x (a simulated objective should fix its common-random-numbers
+    seed, as ProfitObjective does through its SimConfig).
     """
     history: list[tuple[np.ndarray, float]] = []
 

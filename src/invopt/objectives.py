@@ -35,7 +35,6 @@ class ProfitObjective:
     cfg: SimConfig
     mode: str
     review_period: int = DEFAULT_REVIEW_PERIOD
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in ("rq", "oup", "pq"):
@@ -68,19 +67,13 @@ class ProfitObjective:
             )
             per_run = np.repeat(levels[:, column], n_reps)
             if self.mode == "rq":
-                reorder = np.full(
+                kind, param_a = "rq", np.full(
                     len(per_run), max(int(round(product.lead_time_demand)), 1), np.int64
                 )
-                result = _batch_over_reps(
-                    product, demand, self.cfg, "rq", reorder, per_run, rep_ids, self.threads
-                )
             else:
-                result = _batch_over_reps(
-                    product, demand, self.cfg, "pq", self.review_period, per_run,
-                    rep_ids, self.threads
-                )
-            profits = result.profit.reshape(n_candidates, n_reps)
-            totals += profits.mean(axis=1)
+                kind, param_a = "pq", self.review_period
+            runs = _batch_over_reps(product, demand, self.cfg, kind, param_a, per_run, rep_ids)
+            totals += runs.profit.reshape(n_candidates, n_reps).mean(axis=1)
         return totals
 
 
@@ -89,6 +82,5 @@ def policy_profit_objective(
     cfg: SimConfig,
     mode: str,
     review_period: int = DEFAULT_REVIEW_PERIOD,
-    threads: int = 1,
 ) -> ProfitObjective:
-    return ProfitObjective(catalog, cfg, mode, review_period, threads)
+    return ProfitObjective(catalog, cfg, mode, review_period)

@@ -154,7 +154,6 @@ def sensitivity_resim(
     params: Mapping[str, PolicyParams],
     cfg: SimConfig,
     spec: SensitivitySpec,
-    threads: int = 1,
 ) -> list[SensitivityRow]:
     """Rerun the replications with the perturbed variable under the
     baseline seed; rows carry the simulated outputs."""
@@ -175,7 +174,7 @@ def sensitivity_resim(
                 product.daily_order_size_mean,
                 product.daily_order_size_std,
             )
-            stats = replicate(product, demand, policy, cfg, threads=threads)
+            stats = replicate(product, demand, policy, cfg)
             rows.append(SensitivityRow(
                 variable=spec.variable,
                 delta=delta,

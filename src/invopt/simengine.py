@@ -21,19 +21,20 @@ exactly revenue minus the three cost terms.
 
 Replications are mutually independent: replication i draws demand from
 stream (seed, i, demand lane) and per-order lead times from (seed, i, lead
-lane), so results are reproducible and independent of execution order or
-thread count.  All replication-level runs share one vectorized engine that
-advances every run in lockstep, which also enables common-random-number
-parameter sweeps (the same replication streams reused across parameter
-values).
+lane), so results are reproducible and independent of execution order.
+Every entry point makes one call to a single vectorized engine that
+advances all of its runs in lockstep and returns their per-run outcomes as
+``RunSamples``; statistics, sweeps and histograms are reductions of that
+one batch.  Runs that share a replication id read the same demand and
+lead-time rows (common random numbers), which is how parameter sweeps
+compare levels without sampling noise between them.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -55,6 +56,18 @@ LEAD_LANE = 1
 LOST_SALES = "lost_sales"
 BACKORDER = "backorder"
 
+# Policy fields above this are rejected: it keeps every int64 ledger far from
+# wrapping (a year of daily orders of this size stays below 2**49 units).
+MAX_POLICY_UNITS = 2**40
+
+
+def _check_fields(policy) -> None:
+    values = [getattr(policy, f.name) for f in fields(policy)]
+    if any(v <= 0 for v in values):
+        raise DomainError(f"{type(policy).__name__} fields must be positive integers")
+    if any(v > MAX_POLICY_UNITS for v in values):
+        raise DomainError(f"{type(policy).__name__} fields must not exceed 2**40")
+
 
 @dataclass(frozen=True)
 class PeriodicReview:
@@ -64,8 +77,7 @@ class PeriodicReview:
     order_up_to: int
 
     def __post_init__(self) -> None:
-        if self.review_period <= 0 or self.order_up_to <= 0:
-            raise DomainError("PeriodicReview fields must be positive integers")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -76,8 +88,7 @@ class ContinuousReview:
     order_quantity: int
 
     def __post_init__(self) -> None:
-        if self.reorder_point <= 0 or self.order_quantity <= 0:
-            raise DomainError("ContinuousReview fields must be positive integers")
+        _check_fields(self)
 
 
 PolicyParams = PeriodicReview | ContinuousReview
@@ -132,10 +143,17 @@ class ReplicationStats:
     n: int
 
 
-@dataclass
-class _BatchResult:
-    """Per-run outputs of the vectorized engine (arrays of length R)."""
+@dataclass(frozen=True, eq=False)
+class RunSamples:
+    """Per-run outcomes of one engine batch (arrays of length R).
 
+    ``unmet_demand`` is the batch's demand mode: it decides whether demand
+    that was never served is the lost units or the backorders still queued
+    at the horizon.  ``records`` holds run 0's day trajectory when the batch
+    was asked to record it.
+    """
+
+    unmet_demand: str
     profit: np.ndarray
     revenue: np.ndarray
     product_costs: np.ndarray
@@ -150,20 +168,37 @@ class _BatchResult:
     orders_placed: np.ndarray
     final_on_hand: np.ndarray
     total_receipts: np.ndarray
-    records: list[DayRecord] = field(default_factory=list)
+    records: tuple[DayRecord, ...] = ()
 
-    @staticmethod
-    def concatenate(parts: Sequence["_BatchResult"]) -> "_BatchResult":
-        arrays = {
-            name: np.concatenate([getattr(p, name) for p in parts])
-            for name in (
-                "profit", "revenue", "product_costs", "ordering_costs",
-                "holding_costs", "demand_units", "sold_units", "unmet_units",
-                "served_late_units", "final_backorders", "ordered_units",
-                "orders_placed", "final_on_hand", "total_receipts",
-            )
-        }
-        return _BatchResult(**arrays)
+    @property
+    def _never_served(self) -> np.ndarray:
+        return self.unmet_units if self.unmet_demand == LOST_SALES else self.final_backorders
+
+    @property
+    def lost_order_fraction(self) -> np.ndarray:
+        """Per-run share of demand never served (0 for runs without demand)."""
+        demand = self.demand_units
+        return np.where(demand > 0, self._never_served / np.maximum(demand, 1), 0.0)
+
+    def slice(self, sl: slice) -> "RunSamples":
+        """The runs selected by sl (day records are not carried over)."""
+        arrays = {f.name: getattr(self, f.name)[sl] for f in fields(self)
+                  if isinstance(getattr(self, f.name), np.ndarray)}
+        return replace(self, records=(), **arrays)
+
+    def stats(self) -> ReplicationStats:
+        n = len(self.profit)
+        total_demand = int(self.demand_units.sum())
+        lost = int(self._never_served.sum()) / total_demand if total_demand > 0 else 0.0
+        fill = int(self.sold_units.sum()) / total_demand if total_demand > 0 else 1.0
+        return ReplicationStats(
+            mean_profit=float(np.mean(self.profit)),
+            profit_std=float(np.std(self.profit, ddof=1)) if n > 1 else 0.0,
+            lost_order_fraction=lost,
+            fill_rate=fill,
+            mean_orders_placed=float(np.mean(self.orders_placed)),
+            n=n,
+        )
 
 
 def _policy_arrays(policy: PolicyParams, n: int):
@@ -173,7 +208,7 @@ def _policy_arrays(policy: PolicyParams, n: int):
     return "rq", np.full(n, policy.reorder_point, np.int64), np.full(n, policy.order_quantity, np.int64)
 
 
-def _run_batch(
+def _batch_over_reps(
     product: ProductSpec,
     demand: DemandModel,
     cfg: SimConfig,
@@ -183,13 +218,14 @@ def _run_batch(
     rep_ids: np.ndarray,
     record: bool = False,
     stream_path: tuple[int, ...] = (),
-) -> _BatchResult:
+) -> RunSamples:
     """Advance R runs in lockstep for cfg.horizon days.
 
     kind "pq": param_a is the scalar review period, param_b the per-run
     order-up-to levels.  kind "rq": param_a per-run reorder points, param_b
     per-run order quantities.  rep_ids addresses each run's random streams;
-    repeated ids share demand/lead realizations (common random numbers).
+    repeated ids share demand/lead realizations (common random numbers),
+    which are sampled once per distinct id and read through ``inverse``.
     """
     n_runs = len(rep_ids)
     horizon = cfg.horizon
@@ -198,14 +234,13 @@ def _run_batch(
     lost_sales = cfg.unmet_demand == LOST_SALES
 
     unique_ids, inverse = np.unique(np.asarray(rep_ids, dtype=np.int64), return_inverse=True)
-    demand_mat = np.empty((len(unique_ids), horizon), dtype=np.int64)
+    # day-major, so that one day's demand across distinct ids is contiguous
+    demand_by_day = np.empty((horizon, len(unique_ids)), dtype=np.int64)
     lead_mat = np.empty((len(unique_ids), horizon), dtype=np.int64)
     for row, rid in enumerate(unique_ids):
         base = RngStream(cfg.seed, int(rid), stream_path)
-        demand_mat[row] = demand_series(demand, base.derive(DEMAND_LANE), horizon)
+        demand_by_day[:, row] = demand_series(demand, base.derive(DEMAND_LANE), horizon)
         lead_mat[row] = lead_time_series(lead_model, base.derive(LEAD_LANE), horizon)
-    demand_mat = demand_mat[inverse]
-    lead_mat = lead_mat[inverse]
 
     on_hand = np.full(n_runs, product.starting_stock, np.int64)
     on_order = np.zeros(n_runs, np.int64)
@@ -222,7 +257,6 @@ def _run_batch(
     holding_unit_days = np.zeros(n_runs, np.int64)
     total_receipts = np.zeros(n_runs, np.int64)
 
-    rows = np.arange(n_runs)
     records: list[DayRecord] = []
 
     for day in range(1, horizon + 1):
@@ -239,7 +273,7 @@ def _run_batch(
             backorders -= fill
             served_late += fill
 
-        day_demand = demand_mat[:, day - 1]
+        day_demand = demand_by_day[day - 1][inverse]
         sold = np.minimum(day_demand, on_hand)
         on_hand -= sold
         unmet = day_demand - sold
@@ -258,15 +292,14 @@ def _run_batch(
         else:
             quantity = np.where(position <= param_a, param_b, 0)
 
-        placing = quantity > 0
-        if placing.any():
-            lead = np.maximum(lead_mat[rows, order_index], 1)
-            arrival_slot = (day + lead) % window
-            arrivals[rows[placing], arrival_slot[placing]] += quantity[placing]
+        placing = np.flatnonzero(quantity > 0)
+        if len(placing):
+            lead = np.maximum(lead_mat[inverse[placing], order_index[placing]], 1)
+            arrivals[placing, (day + lead) % window] += quantity[placing]
             on_order += quantity
             ordered_units += quantity
-            orders_placed += placing
-            order_index += placing
+            orders_placed[placing] += 1
+            order_index[placing] += 1
 
         holding_unit_days += on_hand
 
@@ -289,7 +322,8 @@ def _run_batch(
     holding_costs = holding_unit_days * (product.holding_cost / DAYS_PER_YEAR)
     profit = revenue - product_costs - ordering_costs - holding_costs
 
-    return _BatchResult(
+    return RunSamples(
+        unmet_demand=cfg.unmet_demand,
         profit=profit,
         revenue=revenue,
         product_costs=product_costs,
@@ -304,7 +338,7 @@ def _run_batch(
         orders_placed=orders_placed,
         final_on_hand=on_hand,
         total_receipts=total_receipts,
-        records=records,
+        records=tuple(records),
     )
 
 
@@ -320,71 +354,30 @@ def simulate_once(
     The run draws demand from rng.derive(DEMAND_LANE) and per-order lead
     times from rng.derive(LEAD_LANE).
     """
-    one = SimConfig(
-        horizon=cfg.horizon,
-        replications=1,
-        seed=rng.seed,
-        lead_time_mode=cfg.lead_time_mode,
-        unmet_demand=cfg.unmet_demand,
-    )
+    one = replace(cfg, replications=1, seed=rng.seed)
     kind, a, b = _policy_arrays(policy, 1)
-    result = _run_batch(product, demand, one, kind, a, b,
-                        np.array([rng.stream_id]), record=True,
-                        stream_path=rng.path)
+    run = _batch_over_reps(product, demand, one, kind, a, b, np.array([rng.stream_id]),
+                           record=True, stream_path=rng.path)
     ledger = ProfitLedger(
-        revenue=float(result.revenue[0]),
-        product_costs=float(result.product_costs[0]),
-        ordering_costs=float(result.ordering_costs[0]),
-        holding_costs=float(result.holding_costs[0]),
-        annual_profit=float(result.profit[0]),
+        revenue=float(run.revenue[0]),
+        product_costs=float(run.product_costs[0]),
+        ordering_costs=float(run.ordering_costs[0]),
+        holding_costs=float(run.holding_costs[0]),
+        annual_profit=float(run.profit[0]),
     )
-    return result.records, ledger
+    return list(run.records), ledger
 
 
-def _batch_over_reps(
+def replication_samples(
     product: ProductSpec,
     demand: DemandModel,
+    policy: PolicyParams,
     cfg: SimConfig,
-    kind: str,
-    param_a,
-    param_b: np.ndarray,
-    rep_ids: np.ndarray,
-    threads: int,
-) -> _BatchResult:
-    if threads <= 1 or len(rep_ids) < 2 * threads:
-        return _run_batch(product, demand, cfg, kind, param_a, param_b, rep_ids)
-    chunks = np.array_split(np.arange(len(rep_ids)), threads)
-    a_vec = isinstance(param_a, np.ndarray)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(
-                _run_batch, product, demand, cfg, kind,
-                param_a[idx] if a_vec else param_a,
-                param_b[idx], rep_ids[idx],
-            )
-            for idx in chunks
-        ]
-        parts = [f.result() for f in futures]
-    return _BatchResult.concatenate(parts)
-
-
-def _stats_from(result: _BatchResult, cfg: SimConfig) -> ReplicationStats:
-    n = len(result.profit)
-    total_demand = int(result.demand_units.sum())
-    if cfg.unmet_demand == LOST_SALES:
-        never_served = int(result.unmet_units.sum())
-    else:
-        never_served = int(result.final_backorders.sum())
-    lost = never_served / total_demand if total_demand > 0 else 0.0
-    fill = int(result.sold_units.sum()) / total_demand if total_demand > 0 else 1.0
-    return ReplicationStats(
-        mean_profit=float(np.mean(result.profit)),
-        profit_std=float(np.std(result.profit, ddof=1)) if n > 1 else 0.0,
-        lost_order_fraction=lost,
-        fill_rate=fill,
-        mean_orders_placed=float(np.mean(result.orders_placed)),
-        n=n,
-    )
+) -> RunSamples:
+    """Per-run outcomes of cfg.replications runs; replication i uses stream id i."""
+    kind, a, b = _policy_arrays(policy, cfg.replications)
+    rep_ids = np.arange(cfg.replications, dtype=np.int64)
+    return _batch_over_reps(product, demand, cfg, kind, a, b, rep_ids)
 
 
 def replicate(
@@ -392,17 +385,9 @@ def replicate(
     demand: DemandModel,
     policy: PolicyParams,
     cfg: SimConfig,
-    threads: int = 1,
 ) -> ReplicationStats:
-    """Monte-Carlo estimate over cfg.replications independent runs.
-
-    Replication i uses stream id i; the result is bit-identical for a fixed
-    (seed, params) whatever the thread count.
-    """
-    rep_ids = np.arange(cfg.replications, dtype=np.int64)
-    kind, a, b = _policy_arrays(policy, cfg.replications)
-    result = _batch_over_reps(product, demand, cfg, kind, a, b, rep_ids, threads)
-    return _stats_from(result, cfg)
+    """Monte-Carlo estimate over cfg.replications independent runs."""
+    return replication_samples(product, demand, policy, cfg).stats()
 
 
 def sweep_oup(
@@ -412,7 +397,6 @@ def sweep_oup(
     oup_range: tuple[int, int],
     step: int = 1,
     review_period: int = 30,
-    threads: int = 1,
 ) -> list[tuple[int, ReplicationStats]]:
     """Replicate a periodic-review policy across an inclusive order-up-to range.
 
@@ -424,30 +408,14 @@ def sweep_oup(
         raise ConfigError(f"step {step} must be positive")
     if lo > hi or lo <= 0:
         raise ConfigError(f"invalid order-up-to range [{lo}, {hi}]")
+    PeriodicReview(review_period, hi)  # validates the review period and the cap
     levels = np.arange(lo, hi + 1, step, dtype=np.int64)
     n = cfg.replications
     rep_ids = np.tile(np.arange(n, dtype=np.int64), len(levels))
-    oup = np.repeat(levels, n)
-    result = _batch_over_reps(product, demand, cfg, "pq", review_period, oup, rep_ids, threads)
-    out = []
-    for i, level in enumerate(levels):
-        sl = slice(i * n, (i + 1) * n)
-        part = _BatchResult(
-            profit=result.profit[sl], revenue=result.revenue[sl],
-            product_costs=result.product_costs[sl],
-            ordering_costs=result.ordering_costs[sl],
-            holding_costs=result.holding_costs[sl],
-            demand_units=result.demand_units[sl], sold_units=result.sold_units[sl],
-            unmet_units=result.unmet_units[sl],
-            served_late_units=result.served_late_units[sl],
-            final_backorders=result.final_backorders[sl],
-            ordered_units=result.ordered_units[sl],
-            orders_placed=result.orders_placed[sl],
-            final_on_hand=result.final_on_hand[sl],
-            total_receipts=result.total_receipts[sl],
-        )
-        out.append((int(level), _stats_from(part, cfg)))
-    return out
+    runs = _batch_over_reps(product, demand, cfg, "pq", review_period,
+                            np.repeat(levels, n), rep_ids)
+    return [(int(level), runs.slice(slice(i * n, (i + 1) * n)).stats())
+            for i, level in enumerate(levels)]
 
 
 @dataclass(frozen=True)
@@ -463,7 +431,6 @@ def compare_policies(
     cfg: SimConfig,
     pq_params: Mapping[str, PolicyParams],
     rq_params: Mapping[str, PolicyParams],
-    threads: int = 1,
 ) -> PolicyComparison:
     """Expected-profit comparison of two policy assignments over a catalog.
 
@@ -481,42 +448,13 @@ def compare_policies(
         model = DemandModel.from_moments(
             p.order_probability, p.daily_order_size_mean, p.daily_order_size_std
         )
-        pq_stats = replicate(p, model, pq_params[p.name], cfg, threads=threads)
-        rq_stats = replicate(p, model, rq_params[p.name], cfg, threads=threads)
+        pq_stats = replicate(p, model, pq_params[p.name], cfg)
+        rq_stats = replicate(p, model, rq_params[p.name], cfg)
         per_product[p.name] = (pq_stats, rq_stats)
     total_pq = sum(s.mean_profit for s, _ in per_product.values())
     total_rq = sum(s.mean_profit for _, s in per_product.values())
     rel = (total_rq - total_pq) / total_pq if total_pq != 0 else math.inf
     return PolicyComparison(per_product, total_pq, total_rq, rel)
-
-
-@dataclass(frozen=True)
-class RunSamples:
-    """Per-replication outcomes backing distribution plots."""
-
-    profit: np.ndarray
-    lost_order_fraction: np.ndarray
-
-
-def replication_samples(
-    product: ProductSpec,
-    demand: DemandModel,
-    policy: PolicyParams,
-    cfg: SimConfig,
-    threads: int = 1,
-) -> RunSamples:
-    """Per-replication profit and lost-order fraction (same runs as replicate)."""
-    rep_ids = np.arange(cfg.replications, dtype=np.int64)
-    kind, a, b = _policy_arrays(policy, cfg.replications)
-    result = _batch_over_reps(product, demand, cfg, kind, a, b, rep_ids, threads)
-    if cfg.unmet_demand == LOST_SALES:
-        never_served = result.unmet_units
-    else:
-        never_served = result.final_backorders
-    with np.errstate(invalid="ignore"):
-        lost = np.where(result.demand_units > 0,
-                        never_served / np.maximum(result.demand_units, 1), 0.0)
-    return RunSamples(profit=result.profit, lost_order_fraction=lost)
 
 
 def mc_estimate(samples: Iterable[float]) -> tuple[float, float]:

@@ -41,8 +41,8 @@ class RngStream:
 
     Two streams built with the same address produce bit-identical draws;
     distinct stream_ids (or derived lanes) are statistically independent.
-    A stream is single-owner: it holds generator state and is not safe to
-    share across threads.
+    A stream is single-owner: it holds generator state, so two consumers
+    drawing from one stream would interleave (and perturb) each other's draws.
     """
 
     __slots__ = ("seed", "stream_id", "path", "_gen")

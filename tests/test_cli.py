@@ -162,17 +162,60 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("config:")
 
-    def test_thread_count_invariance(self, capsys, table1_path, pq_params_file):
-        def invoke(threads):
-            return run_cli(capsys, "--catalog", table1_path, "--seed", "3",
-                           "--threads", threads, "simulate", "--policy", "pq",
-                           "--params", pq_params_file, "--replications", "32")
+    def test_rows_independent_of_artifacts(self, capsys, tmp_path, table1_path,
+                                           rq_params_file):
+        base = ["--catalog", table1_path, "--seed", "3", "simulate", "--policy", "rq",
+                "--params", rq_params_file, "--replications", "32"]
+        code, plain, _ = run_cli(capsys, *base)
+        assert code == 0
+        code, full, _ = run_cli(capsys, *base, "--emit-histogram", str(tmp_path / "h.csv"),
+                                "--emit-trajectory", str(tmp_path / "t.csv"))
+        assert code == 0
+        assert plain == full
 
-        code1, single, _ = invoke("1")
-        code4, quad, _ = invoke("4")
-        assert code1 == 0 and code4 == 0
-        strip = lambda text: [l for l in text.splitlines() if not l.startswith("#")]
-        assert strip(single) == strip(quad)
+    @pytest.mark.parametrize("extra, batches", [
+        ((), 4),
+        (("--emit-histogram", "HIST"), 4),
+        (("--emit-histogram", "HIST", "--emit-trajectory", "TRAJ"), 8),
+    ])
+    def test_one_batch_per_product(self, capsys, monkeypatch, tmp_path, table1_path,
+                                   pq_params_file, extra, batches):
+        from invopt import simengine
+
+        calls = []
+        engine = simengine._batch_over_reps
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[6]))
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(simengine, "_batch_over_reps", counted)
+        paths = {"HIST": str(tmp_path / "h.csv"), "TRAJ": str(tmp_path / "t.csv")}
+        code, _, _ = run_cli(capsys, "--catalog", table1_path, "simulate", "--policy", "pq",
+                             "--params", pq_params_file, "--replications", "16",
+                             *(paths.get(a, a) for a in extra))
+        assert code == 0
+        assert len(calls) == batches
+        assert sum(calls) == 4 * 16 + (batches - 4)
+
+    @pytest.mark.parametrize("value", [812.9, True])
+    def test_non_integral_params_rejected(self, capsys, tmp_path, table1_path, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"PrA": {"reorder_point": value, "order_quantity": 1440}}))
+        code, _, err = run_cli(capsys, "--catalog", table1_path, "simulate",
+                               "--policy", "rq", "--params", str(bad),
+                               "--replications", "2")
+        assert code == 2
+        assert err.startswith("config:")
+
+    def test_params_above_cap_rejected(self, capsys, tmp_path, table1_path):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"PrA": {"reorder_point": 2**62, "order_quantity": 2**62}}))
+        code, _, err = run_cli(capsys, "--catalog", table1_path, "simulate",
+                               "--policy", "rq", "--params", str(huge),
+                               "--replications", "2")
+        assert code == 2
+        assert err.startswith("config:") and "PrA" in err and "2**40" in err
 
 
 class TestSweepCommand:
@@ -242,6 +285,16 @@ class TestOptimizeCommand:
                                "--replications", "2", "--horizon", "40",
                                "--conditioning", str(cond))
         assert code == 0
+
+    def test_bounds_above_cap_rejected(self, capsys, tmp_path, table1_path):
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(json.dumps([[1, 1e20], [1, 5000], [1, 5000], [1, 5000]]))
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "optimize",
+                                 "--bounds", str(bounds), "--budget", "5",
+                                 "--initial-design", "4", "--replications", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config:")
 
     def test_bad_bounds_count(self, capsys, tmp_path, table1_path):
         bounds = tmp_path / "bounds.json"

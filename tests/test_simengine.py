@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from invopt.catalog import Catalog, ProductSpec
 from invopt.errors import ConfigError, DomainError
 from invopt.simengine import (
     BACKORDER,
+    MAX_POLICY_UNITS,
     ContinuousReview,
     PeriodicReview,
     SimConfig,
@@ -100,13 +103,6 @@ class TestReplicate:
         stats = replicate(pra, model, PeriodicReview(30, 2500), small_cfg(replications=20))
         assert stats.profit_std == 0.0
 
-    def test_bit_identical_across_thread_counts(self, pra):
-        cfg = small_cfg(replications=64)
-        policy = ContinuousReview(900, 1700)
-        single = replicate(pra, pra_model(), policy, cfg, threads=1)
-        quad = replicate(pra, pra_model(), policy, cfg, threads=4)
-        assert single == quad
-
     def test_seed_determinism(self, pra):
         cfg = small_cfg(replications=30)
         a = replicate(pra, pra_model(), PeriodicReview(30, 2071), cfg)
@@ -162,17 +158,36 @@ class TestSweep:
         assert best(wide) >= best(narrow)
 
     def test_point_stats_match_standalone_replicate(self, pra):
-        cfg = small_cfg(replications=25)
-        rows = sweep_oup(pra, pra_model(), cfg, (2000, 2200), step=200)
-        for oup, stats in rows:
-            alone = replicate(pra, pra_model(), PeriodicReview(30, oup), cfg)
-            assert stats == alone
+        for unmet in ("lost_sales", BACKORDER):
+            cfg = small_cfg(replications=25, unmet_demand=unmet)
+            rows = sweep_oup(pra, pra_model(), cfg, (1600, 2400), step=200)
+            assert [oup for oup, _ in rows] == [1600, 1800, 2000, 2200, 2400]
+            for oup, stats in rows:
+                alone = replicate(pra, pra_model(), PeriodicReview(30, oup), cfg)
+                assert stats == alone
 
     def test_bad_ranges_rejected(self, pra):
         with pytest.raises(ConfigError):
             sweep_oup(pra, pra_model(), small_cfg(), (2000, 1000))
         with pytest.raises(ConfigError):
             sweep_oup(pra, pra_model(), small_cfg(), (1000, 2000), step=0)
+        with pytest.raises(DomainError):
+            sweep_oup(pra, pra_model(), small_cfg(), (1000, 2000), review_period=0)
+        with pytest.raises(DomainError):
+            sweep_oup(pra, pra_model(), small_cfg(), (1000, MAX_POLICY_UNITS + 1))
+
+    def test_memory_bounded_by_distinct_replications(self, pra):
+        # 41 levels x 500 replications share 500 demand rows; the engine
+        # must not copy them once per level (that alone is ~120 MB)
+        cfg = SimConfig(horizon=365, replications=500, seed=1)
+        tracemalloc.start()
+        try:
+            rows = sweep_oup(pra, pra_model(), cfg, (1000, 3000), step=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 41
+        assert peak < 30 * 2**20
 
 
 class TestComparePolicies:
@@ -234,6 +249,15 @@ class TestMcEstimate:
 
 
 class TestPolicyValidation:
+    def test_fields_above_cap_rejected(self):
+        PeriodicReview(MAX_POLICY_UNITS, MAX_POLICY_UNITS)
+        ContinuousReview(MAX_POLICY_UNITS, MAX_POLICY_UNITS)
+        for bad in [(30, MAX_POLICY_UNITS + 1), (MAX_POLICY_UNITS + 1, 30), (2**62, 2**62)]:
+            with pytest.raises(DomainError):
+                PeriodicReview(*bad)
+            with pytest.raises(DomainError):
+                ContinuousReview(*bad)
+
     def test_nonpositive_fields_rejected(self):
         for bad in [(0, 100), (30, 0), (-1, 5)]:
             with pytest.raises(DomainError):
@@ -297,7 +321,7 @@ class TestRandomizedInvariants:
             product, model, policy, cfg = _random_case(rng)
             kind, a, b = _policy_arrays(policy, cfg.replications)
             rep_ids = np.arange(cfg.replications)
-            out = _batch_over_reps(product, model, cfg, kind, a, b, rep_ids, threads=1)
+            out = _batch_over_reps(product, model, cfg, kind, a, b, rep_ids)
             # exact ledger identity per run
             assert np.all(
                 out.profit
@@ -332,7 +356,7 @@ class TestRandomizedInvariants:
             for oup in (low, high):
                 kind, a, b = _policy_arrays(PeriodicReview(30, oup), cfg.replications)
                 out[oup] = _batch_over_reps(
-                    pra, model, cfg, kind, a, b, np.arange(cfg.replications), 1
+                    pra, model, cfg, kind, a, b, np.arange(cfg.replications)
                 )
             assert np.all(out[high].sold_units >= out[low].sold_units)
 
@@ -348,7 +372,7 @@ class TestRandomizedInvariants:
             for r in (r_low, r_high):
                 kind, a, b = _policy_arrays(ContinuousReview(r, q), cfg.replications)
                 out[r] = _batch_over_reps(
-                    pra, model, cfg, kind, a, b, np.arange(cfg.replications), 1
+                    pra, model, cfg, kind, a, b, np.arange(cfg.replications)
                 )
             assert np.all(out[r_high].sold_units >= out[r_low].sold_units)
             assert np.all(out[r_high].unmet_units <= out[r_low].unmet_units)
@@ -365,7 +389,7 @@ class TestRandomizedInvariants:
         for q in (1219, 1305):
             kind, a, b = _policy_arrays(ContinuousReview(646, q), cfg.replications)
             out[q] = _batch_over_reps(
-                pra, model, cfg, kind, a, b, np.arange(cfg.replications), 1
+                pra, model, cfg, kind, a, b, np.arange(cfg.replications)
             )
         assert np.any(out[1305].sold_units < out[1219].sold_units)
 
@@ -375,6 +399,7 @@ def test_replication_samples_match_stats(pra):
     policy = PeriodicReview(30, 2071)
     stats = replicate(pra, pra_model(), policy, cfg)
     samples = replication_samples(pra, pra_model(), policy, cfg)
+    assert samples.stats() == stats
     assert len(samples.profit) == 40
     assert samples.profit.mean() == pytest.approx(stats.mean_profit)
     assert np.all(samples.lost_order_fraction >= 0)
