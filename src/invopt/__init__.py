@@ -84,9 +84,11 @@ from .simengine import (
     RunSamples,
     SimConfig,
     compare_policies,
+    demand_model,
     mc_estimate,
     replicate,
     replication_samples,
+    simulate_cases,
     simulate_once,
     sweep_oup,
 )

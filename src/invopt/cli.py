@@ -35,13 +35,16 @@ from .simengine import (
     ContinuousReview,
     PeriodicReview,
     SimConfig,
+    catalog_policies,
     compare_policies,
-    replicate,
+    demand_model,
+    replicate,  # not called here: perfbench/tracer.py wraps it as cli.replicate
     replication_samples,
+    simulate_cases,
     simulate_once,
     sweep_oup,
 )
-from .stochastic import RNG_ALGORITHM, DemandModel, RngStream
+from .stochastic import RNG_ALGORITHM, RngStream
 
 
 @dataclass(frozen=True)
@@ -191,12 +194,6 @@ def _require_catalog(args) -> Catalog:
     return load_catalog(args.catalog)
 
 
-def _demand_model(product) -> DemandModel:
-    return DemandModel.from_moments(
-        product.order_probability, product.daily_order_size_mean, product.daily_order_size_std
-    )
-
-
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -212,12 +209,12 @@ def _whole(value) -> int:
     return int(value)
 
 
-def _load_params(path: str, kind: str) -> dict:
+def _load_params(path: str, policy: str) -> dict:
     raw = _load_json(path)
     params = {}
     for name, fields in raw.items():
         try:
-            if kind == "pq":
+            if policy == "pq":
                 params[name] = PeriodicReview(
                     _whole(fields.get("review_period", 30)), _whole(fields["order_up_to"])
                 )
@@ -304,11 +301,8 @@ def _cmd_simulate(args) -> int:
     trajectory_lines = ["product,day,demand,sold,unmet,on_hand_end,on_order,"
                         "order_placed,receipt"]
     histogram_lines = ["metric,bin_lo,bin_hi,count"]
-    for product in catalog:
-        if product.name not in params:
-            raise ConfigError(f"{args.params}: missing params for product {product.name!r}")
-        policy = params[product.name]
-        demand = _demand_model(product)
+    for product, policy in zip(catalog, catalog_policies(catalog, params, args.params)):
+        demand = demand_model(product)
         runs = replication_samples(product, demand, policy, cfg)
         stats = runs.stats()
         lines.append(
@@ -352,7 +346,7 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"--oup-range must be LO:HI, got {args.oup_range!r}") from None
     cfg = _sim_config(args)
-    results = sweep_oup(product, _demand_model(product), cfg, (lo, hi),
+    results = sweep_oup(product, demand_model(product), cfg, (lo, hi),
                         step=args.step, review_period=args.review)
     lines = ["order_up_to,mean_profit,profit_std,lost_order_fraction,fill_rate,"
              "mean_orders_placed"]
@@ -399,7 +393,10 @@ def _cmd_optimize(args) -> int:
     sim_cfg = SimConfig(horizon=args.horizon, replications=args.replications, seed=args.seed)
     objective = policy_profit_objective(catalog, sim_cfg, mode)
     if args.bounds:
-        bounds = tuple((float(lo), float(hi)) for lo, hi in _load_json(args.bounds))
+        try:
+            bounds = tuple((float(lo), float(hi)) for lo, hi in _load_json(args.bounds))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{args.bounds}: bounds must be a list of [lo, hi] pairs") from None
         if any(not abs(v) <= MAX_POLICY_UNITS for pair in bounds for v in pair):
             raise ConfigError(f"{args.bounds}: bounds must lie within +-2**40")
     else:
@@ -409,12 +406,17 @@ def _cmd_optimize(args) -> int:
     conditioning = None
     if args.conditioning:
         raw = _load_json(args.conditioning)
-        conditioning = ConditioningFn(
-            alpha=float(raw["alpha"]),
-            centers=tuple(tuple(map(float, c)) for c in raw.get("centers", ())),
-            widths=tuple(map(float, raw.get("widths", ()))),
-            weights=tuple(map(float, raw.get("weights", ()))),
-        )
+        try:
+            conditioning = ConditioningFn(
+                alpha=float(raw["alpha"]),
+                centers=tuple(tuple(map(float, c)) for c in raw.get("centers", ())),
+                widths=tuple(map(float, raw.get("widths", ()))),
+                weights=tuple(map(float, raw.get("weights", ()))),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"{args.conditioning}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{args.conditioning}: {exc}") from None
     cfg = BoConfig(bounds=bounds, budget=args.budget, initial_design=args.initial_design,
                    acquisition=args.acquisition, seed=args.seed)
     result = bo_run(objective, cfg, conditioning)
@@ -446,6 +448,7 @@ def _cmd_sensitivity(args) -> int:
         deltas = tuple(float(d) for d in args.deltas.split(","))
     except ValueError:
         raise ConfigError(f"--deltas must be comma-separated numbers, got {args.deltas!r}") from None
+    policies = catalog_policies(catalog, params, args.params)
 
     rows = []
     if args.mode == "resim":
@@ -453,13 +456,11 @@ def _cmd_sensitivity(args) -> int:
             spec = SensitivitySpec(variable, deltas, mode="resim")
             rows.extend(sensitivity_resim(catalog, params, cfg, spec))
     else:
-        baseline = {}
-        for product in catalog:
-            if product.name not in params:
-                raise ConfigError(f"{args.params}: missing params for {product.name!r}")
-            stats = replicate(product, _demand_model(product), params[product.name], cfg)
-            baseline[product.name] = BaselineOutputs.from_stats(
-                stats, policy_safety_stock(product, params[product.name]))
+        cases = [(p, demand_model(p), policy) for p, policy in zip(catalog, policies)]
+        baseline = {
+            p.name: BaselineOutputs.from_stats(runs.stats(), policy_safety_stock(p, policy))
+            for (p, _, policy), runs in zip(cases, simulate_cases(cases, cfg).split(len(cases)))
+        }
         for variable in variables:
             spec = SensitivitySpec(variable, deltas, mode="linear")
             rows.extend(sensitivity_linear(baseline, spec))

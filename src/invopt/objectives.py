@@ -19,10 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog
+from .catalog import Catalog, ProductSpec
 from .errors import ConfigError
-from .simengine import SimConfig, _batch_over_reps
-from .stochastic import DemandModel
+from .simengine import (
+    ContinuousReview,
+    PeriodicReview,
+    PolicyParams,
+    SimConfig,
+    _batch_over_reps,
+    demand_model,
+)
 
 DEFAULT_REVIEW_PERIOD = 30
 
@@ -55,26 +61,18 @@ class ProfitObjective:
                 f"expected {self.dim} coordinates (one per product), got {pts.shape[1]}"
             )
         levels = np.maximum(np.rint(pts), 1).astype(np.int64)
-        n_candidates = len(levels)
-        n_reps = self.cfg.replications
-        rep_ids = np.tile(np.arange(n_reps, dtype=np.int64), n_candidates)
-        totals = np.zeros(n_candidates)
-        for column, product in enumerate(self.catalog):
-            demand = DemandModel.from_moments(
-                product.order_probability,
-                product.daily_order_size_mean,
-                product.daily_order_size_std,
-            )
-            per_run = np.repeat(levels[:, column], n_reps)
-            if self.mode == "rq":
-                kind, param_a = "rq", np.full(
-                    len(per_run), max(int(round(product.lead_time_demand)), 1), np.int64
-                )
-            else:
-                kind, param_a = "pq", self.review_period
-            runs = _batch_over_reps(product, demand, self.cfg, kind, param_a, per_run, rep_ids)
-            totals += runs.profit.reshape(n_candidates, n_reps).mean(axis=1)
-        return totals
+        cases = [(product, demand_model(product), self._policy(product, int(level)))
+                 for row in levels for product, level in zip(self.catalog, row)]
+        n = self.cfg.replications
+        runs = _batch_over_reps(cases, self.cfg, np.repeat(np.arange(len(cases)), n),
+                                np.tile(np.arange(n, dtype=np.int64), len(cases)))
+        means = runs.profit.reshape(len(levels), self.dim, n).mean(axis=2)
+        return sum(means.T)  # one product at a time, in catalog order (np.sum reassociates)
+
+    def _policy(self, product: ProductSpec, level: int) -> PolicyParams:
+        if self.mode == "rq":
+            return ContinuousReview(max(int(round(product.lead_time_demand)), 1), level)
+        return PeriodicReview(self.review_period, level)
 
 
 def policy_profit_objective(

@@ -27,9 +27,10 @@ from .simengine import (
     PolicyParams,
     ReplicationStats,
     SimConfig,
-    replicate,
+    catalog_policies,
+    demand_model,
+    simulate_cases,
 )
-from .stochastic import DemandModel
 
 POLICY_VARIABLES = ("oup", "reorder_point", "order_quantity")
 LINEAR_ONLY_VARIABLES = ("expected_profit", "selling_price", "safety_stock")
@@ -162,27 +163,22 @@ def sensitivity_resim(
             f"variable {spec.variable!r} is not resimulatable; "
             f"choose one of {', '.join(POLICY_VARIABLES)}"
         )
-    for product in catalog:
-        if product.name not in params:
-            raise ConfigError(f"missing policy params for product {product.name!r}")
+    policies = catalog_policies(catalog, params)
+    perturbed = [(delta, product, _perturb(policy, spec.variable, delta, product.name))
+                 for delta in spec.deltas for product, policy in zip(catalog, policies)]
+    runs = simulate_cases([(product, demand_model(product), policy)
+                           for _, product, policy in perturbed], cfg).split(len(perturbed))
     rows = []
-    for delta in spec.deltas:
-        for product in catalog:
-            policy = _perturb(params[product.name], spec.variable, delta, product.name)
-            demand = DemandModel.from_moments(
-                product.order_probability,
-                product.daily_order_size_mean,
-                product.daily_order_size_std,
-            )
-            stats = replicate(product, demand, policy, cfg)
-            rows.append(SensitivityRow(
-                variable=spec.variable,
-                delta=delta,
-                product=product.name,
-                profit=stats.mean_profit,
-                profit_std=stats.profit_std,
-                lost_orders=stats.lost_order_fraction,
-                safety_stock=policy_safety_stock(product, policy),
-                needs_resim=(),
-            ))
+    for (delta, product, policy), part in zip(perturbed, runs):
+        stats = part.stats()
+        rows.append(SensitivityRow(
+            variable=spec.variable,
+            delta=delta,
+            product=product.name,
+            profit=stats.mean_profit,
+            profit_std=stats.profit_std,
+            lost_orders=stats.lost_order_fraction,
+            safety_stock=policy_safety_stock(product, policy),
+            needs_resim=(),
+        ))
     return rows

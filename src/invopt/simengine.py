@@ -20,21 +20,25 @@ holding costs = on-hand unit-days * holding_cost/365;  annual profit is
 exactly revenue minus the three cost terms.
 
 Replications are mutually independent: replication i draws demand from
-stream (seed, i, demand lane) and per-order lead times from (seed, i, lead
-lane), so results are reproducible and independent of execution order.
-Every entry point makes one call to a single vectorized engine that
-advances all of its runs in lockstep and returns their per-run outcomes as
-``RunSamples``; statistics, sweeps and histograms are reductions of that
-one batch.  Runs that share a replication id read the same demand and
-lead-time rows (common random numbers), which is how parameter sweeps
-compare levels without sampling noise between them.
+stream (seed, i, demand lane) and, under MeetOrDelay only, per-order lead
+times from (seed, i, lead lane), so results are reproducible and independent
+of execution order.  The engine takes cases, (product, demand model, policy)
+triples, and advances every run of every case, periodic and continuous review
+alike, in one lockstep day loop; it returns the per-run outcomes as
+``RunSamples``.
+Every entry point makes one engine call and reduces it: statistics, sweeps,
+comparisons and histograms are reductions of that one batch.  Runs that
+share a replication id read the same uniforms (common random numbers), so
+sweep levels and compared policies differ without sampling noise between
+them, and the products of a catalog see comonotone demand within a
+replication.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Iterable, Mapping
+from dataclasses import astuple, dataclass, fields, replace
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -180,11 +184,12 @@ class RunSamples:
         demand = self.demand_units
         return np.where(demand > 0, self._never_served / np.maximum(demand, 1), 0.0)
 
-    def slice(self, sl: slice) -> "RunSamples":
-        """The runs selected by sl (day records are not carried over)."""
-        arrays = {f.name: getattr(self, f.name)[sl] for f in fields(self)
+    def split(self, parts: int) -> list["RunSamples"]:
+        """The runs cut into `parts` equal consecutive groups (without day records)."""
+        arrays = {f.name: np.split(getattr(self, f.name), parts) for f in fields(self)
                   if isinstance(getattr(self, f.name), np.ndarray)}
-        return replace(self, records=(), **arrays)
+        return [replace(self, records=(), **{name: pieces[i] for name, pieces in arrays.items()})
+                for i in range(parts)]
 
     def stats(self) -> ReplicationStats:
         n = len(self.profit)
@@ -201,61 +206,84 @@ class RunSamples:
         )
 
 
-def _policy_arrays(policy: PolicyParams, n: int):
-    """(kind, param_a, param_b) with per-run int64 arrays."""
-    if isinstance(policy, PeriodicReview):
-        return "pq", int(policy.review_period), np.full(n, policy.order_up_to, np.int64)
-    return "rq", np.full(n, policy.reorder_point, np.int64), np.full(n, policy.order_quantity, np.int64)
+Case = tuple[ProductSpec, DemandModel, PolicyParams]
+
+
+def demand_model(product: ProductSpec) -> DemandModel:
+    """The product's daily demand, fit to its catalog order statistics."""
+    return DemandModel.from_moments(
+        product.order_probability, product.daily_order_size_mean, product.daily_order_size_std
+    )
+
+
+def catalog_policies(
+    catalog: Catalog, params: Mapping[str, PolicyParams], source: str = "policy"
+) -> list[PolicyParams]:
+    """The policy of every catalog product, in catalog order."""
+    for product in catalog:
+        if product.name not in params:
+            raise ConfigError(f"{source}: missing params for product {product.name!r}")
+    return [params[product.name] for product in catalog]
 
 
 def _batch_over_reps(
-    product: ProductSpec,
-    demand: DemandModel,
+    cases: Sequence[Case],
     cfg: SimConfig,
-    kind: str,
-    param_a,
-    param_b: np.ndarray,
+    case_idx: np.ndarray,
     rep_ids: np.ndarray,
     record: bool = False,
     stream_path: tuple[int, ...] = (),
 ) -> RunSamples:
-    """Advance R runs in lockstep for cfg.horizon days.
+    """Advance one run per (case_idx[i], rep_ids[i]) in lockstep for cfg.horizon days.
 
-    kind "pq": param_a is the scalar review period, param_b the per-run
-    order-up-to levels.  kind "rq": param_a per-run reorder points, param_b
-    per-run order quantities.  rep_ids addresses each run's random streams;
-    repeated ids share demand/lead realizations (common random numbers),
-    which are sampled once per distinct id and read through ``inverse``.
+    A case is a (product, demand model, policy) triple; run i takes its
+    economics, starting stock, lead time and policy from case case_idx[i].
+    rep_ids address the runs' random streams: runs with the same id read the
+    same demand and lead-time rows (common random numbers).  Demand is
+    sampled once per distinct (demand model, id) and lead times once per
+    distinct (lead time, id), and only when they are random.
     """
-    n_runs = len(rep_ids)
+    case_idx = np.asarray(case_idx, dtype=np.int64)
+    n_runs = len(case_idx)
     horizon = cfg.horizon
-    lead_model = LeadTimeModel(product.lead_time, cfg.lead_time_mode)
-    window = max(lead_model.max_days, 1) + 1
     lost_sales = cfg.unmet_demand == LOST_SALES
+    products = [product for product, _, _ in cases]
+    lead_models = [LeadTimeModel(p.lead_time, cfg.lead_time_mode) for p in products]
+    window = max(max(m.max_days for m in lead_models), 1) + 1
 
-    unique_ids, inverse = np.unique(np.asarray(rep_ids, dtype=np.int64), return_inverse=True)
-    # day-major, so that one day's demand across distinct ids is contiguous
-    demand_by_day = np.empty((horizon, len(unique_ids)), dtype=np.int64)
-    lead_mat = np.empty((len(unique_ids), horizon), dtype=np.int64)
-    for row, rid in enumerate(unique_ids):
-        base = RngStream(cfg.seed, int(rid), stream_path)
-        demand_by_day[:, row] = demand_series(demand, base.derive(DEMAND_LANE), horizon)
-        lead_mat[row] = lead_time_series(lead_model, base.derive(LEAD_LANE), horizon)
+    def per_run(values, dtype=np.int64) -> np.ndarray:
+        return np.asarray(values, dtype)[case_idx]
 
-    on_hand = np.full(n_runs, product.starting_stock, np.int64)
-    on_order = np.zeros(n_runs, np.int64)
-    backorders = np.zeros(n_runs, np.int64)
+    unique_ids, id_row = np.unique(np.asarray(rep_ids, np.int64), return_inverse=True)
+
+    def sampled_rows(models, lane, series):
+        """Day-major rows, one per distinct (model, replication id), and each run's row."""
+        index: dict = {}
+        model_of_run = per_run([index.setdefault(m, len(index)) for m in models])
+        pairs, run_row = np.unique(model_of_run * len(unique_ids) + id_row, return_inverse=True)
+        distinct, rows = list(index), np.empty((horizon, len(pairs)), np.int64)
+        for col, (model, row) in enumerate(zip(*np.divmod(pairs, len(unique_ids)))):
+            stream = RngStream(cfg.seed, int(unique_ids[row]), (*stream_path, lane))
+            rows[:, col] = series(distinct[model], stream, horizon)
+        return rows, run_row
+
+    demand_by_day, demand_row = sampled_rows([d for _, d, _ in cases], DEMAND_LANE, demand_series)
+    random_lead = not isinstance(cfg.lead_time_mode, Deterministic)
+    if random_lead:
+        lead_by_order, lead_row = sampled_rows(lead_models, LEAD_LANE, lead_time_series)
+    else:
+        fixed_lead = np.maximum(per_run([p.lead_time for p in products]), 1)
+
+    # a policy's two fields: (review period, order-up-to) or (reorder point, quantity)
+    rq = per_run([isinstance(policy, ContinuousReview) for _, _, policy in cases], bool)
+    a, b = np.array([astuple(policy) for _, _, policy in cases], np.int64).T[:, case_idx]
+    any_rq = rq.any()
+    periodic = [(period, np.flatnonzero(~rq & (a == period))) for period in np.unique(a[~rq])]
+
+    on_hand = per_run([p.starting_stock for p in products])
     arrivals = np.zeros((n_runs, window), np.int64)
-    order_index = np.zeros(n_runs, np.int64)
-
-    demand_units = np.zeros(n_runs, np.int64)
-    sold_units = np.zeros(n_runs, np.int64)
-    unmet_units = np.zeros(n_runs, np.int64)
-    served_late = np.zeros(n_runs, np.int64)
-    ordered_units = np.zeros(n_runs, np.int64)
-    orders_placed = np.zeros(n_runs, np.int64)
-    holding_unit_days = np.zeros(n_runs, np.int64)
-    total_receipts = np.zeros(n_runs, np.int64)
+    (on_order, backorders, demand_units, sold_units, unmet_units, served_late, ordered_units,
+     orders_placed, holding_unit_days, total_receipts) = np.zeros((10, n_runs), np.int64)
 
     records: list[DayRecord] = []
 
@@ -273,7 +301,7 @@ def _batch_over_reps(
             backorders -= fill
             served_late += fill
 
-        day_demand = demand_by_day[day - 1][inverse]
+        day_demand = demand_by_day[day - 1][demand_row]
         sold = np.minimum(day_demand, on_hand)
         on_hand -= sold
         unmet = day_demand - sold
@@ -284,42 +312,35 @@ def _batch_over_reps(
         unmet_units += unmet
 
         position = on_hand + on_order - backorders
-        if kind == "pq":
-            if day % param_a == 0:
-                quantity = np.maximum(param_b - position, 0)
-            else:
-                quantity = np.zeros(n_runs, np.int64)
-        else:
-            quantity = np.where(position <= param_a, param_b, 0)
+        quantity = np.where(rq & (position <= a), b, 0) if any_rq else np.zeros_like(position)
+        for period, runs in periodic:
+            if day % period == 0:
+                quantity[runs] = np.maximum(b[runs] - position[runs], 0)
 
         placing = np.flatnonzero(quantity > 0)
         if len(placing):
-            lead = np.maximum(lead_mat[inverse[placing], order_index[placing]], 1)
+            if random_lead:
+                lead = np.maximum(lead_by_order[orders_placed[placing], lead_row[placing]], 1)
+            else:
+                lead = fixed_lead[placing]
             arrivals[placing, (day + lead) % window] += quantity[placing]
             on_order += quantity
             ordered_units += quantity
             orders_placed[placing] += 1
-            order_index[placing] += 1
 
         holding_unit_days += on_hand
 
         if record:
-            records.append(DayRecord(
-                day=day,
-                demand=int(day_demand[0]),
-                sold=int(sold[0]),
-                unmet=int(unmet[0]),
-                on_hand_end=int(on_hand[0]),
-                on_order=int(on_order[0]),
-                order_placed=int(quantity[0]),
-                receipt=int(receipt[0]),
-            ))
+            records.append(DayRecord(day, *(int(v[0]) for v in (
+                day_demand, sold, unmet, on_hand, on_order, quantity, receipt))))
 
-    revenue_units = sold_units + served_late
-    revenue = revenue_units * float(product.selling_price)
-    product_costs = ordered_units * float(product.purchase_cost)
-    ordering_costs = orders_placed * float(product.order_cost)
-    holding_costs = holding_unit_days * (product.holding_cost / DAYS_PER_YEAR)
+    price, unit_cost, order_cost, daily_holding = np.array(
+        [(p.selling_price, p.purchase_cost, p.order_cost, p.holding_cost / DAYS_PER_YEAR)
+         for p in products]).T[:, case_idx]
+    revenue = (sold_units + served_late) * price
+    product_costs = ordered_units * unit_cost
+    ordering_costs = orders_placed * order_cost
+    holding_costs = holding_unit_days * daily_holding
     profit = revenue - product_costs - ordering_costs - holding_costs
 
     return RunSamples(
@@ -355,17 +376,19 @@ def simulate_once(
     times from rng.derive(LEAD_LANE).
     """
     one = replace(cfg, replications=1, seed=rng.seed)
-    kind, a, b = _policy_arrays(policy, 1)
-    run = _batch_over_reps(product, demand, one, kind, a, b, np.array([rng.stream_id]),
-                           record=True, stream_path=rng.path)
-    ledger = ProfitLedger(
-        revenue=float(run.revenue[0]),
-        product_costs=float(run.product_costs[0]),
-        ordering_costs=float(run.ordering_costs[0]),
-        holding_costs=float(run.holding_costs[0]),
-        annual_profit=float(run.profit[0]),
-    )
+    run = _batch_over_reps([(product, demand, policy)], one, np.zeros(1, np.int64),
+                           np.array([rng.stream_id]), record=True, stream_path=rng.path)
+    ledger = ProfitLedger(*(float(v[0]) for v in (
+        run.revenue, run.product_costs, run.ordering_costs, run.holding_costs, run.profit)))
     return list(run.records), ledger
+
+
+def simulate_cases(cases: Sequence[Case], cfg: SimConfig) -> RunSamples:
+    """cfg.replications runs of each case, case after case; replication i of
+    every case uses stream id i (common random numbers across cases)."""
+    n = cfg.replications
+    return _batch_over_reps(cases, cfg, np.repeat(np.arange(len(cases)), n),
+                            np.tile(np.arange(n, dtype=np.int64), len(cases)))
 
 
 def replication_samples(
@@ -375,9 +398,7 @@ def replication_samples(
     cfg: SimConfig,
 ) -> RunSamples:
     """Per-run outcomes of cfg.replications runs; replication i uses stream id i."""
-    kind, a, b = _policy_arrays(policy, cfg.replications)
-    rep_ids = np.arange(cfg.replications, dtype=np.int64)
-    return _batch_over_reps(product, demand, cfg, kind, a, b, rep_ids)
+    return simulate_cases([(product, demand, policy)], cfg)
 
 
 def replicate(
@@ -409,13 +430,10 @@ def sweep_oup(
     if lo > hi or lo <= 0:
         raise ConfigError(f"invalid order-up-to range [{lo}, {hi}]")
     PeriodicReview(review_period, hi)  # validates the review period and the cap
-    levels = np.arange(lo, hi + 1, step, dtype=np.int64)
-    n = cfg.replications
-    rep_ids = np.tile(np.arange(n, dtype=np.int64), len(levels))
-    runs = _batch_over_reps(product, demand, cfg, "pq", review_period,
-                            np.repeat(levels, n), rep_ids)
-    return [(int(level), runs.slice(slice(i * n, (i + 1) * n)).stats())
-            for i, level in enumerate(levels)]
+    levels = range(lo, hi + 1, step)
+    cases = [(product, demand, PeriodicReview(review_period, level)) for level in levels]
+    runs = simulate_cases(cases, cfg).split(len(cases))
+    return [(level, part.stats()) for level, part in zip(levels, runs)]
 
 
 @dataclass(frozen=True)
@@ -438,19 +456,12 @@ def compare_policies(
     so the comparison isolates the policy effect; identical assignments on
     both sides give a relative difference of exactly zero.
     """
-    for p in catalog:
-        if p.name not in pq_params:
-            raise ConfigError(f"missing periodic-review params for product {p.name!r}")
-        if p.name not in rq_params:
-            raise ConfigError(f"missing continuous-review params for product {p.name!r}")
-    per_product = {}
-    for p in catalog:
-        model = DemandModel.from_moments(
-            p.order_probability, p.daily_order_size_mean, p.daily_order_size_std
-        )
-        pq_stats = replicate(p, model, pq_params[p.name], cfg)
-        rq_stats = replicate(p, model, rq_params[p.name], cfg)
-        per_product[p.name] = (pq_stats, rq_stats)
+    sides = (catalog_policies(catalog, pq_params, "periodic review"),
+             catalog_policies(catalog, rq_params, "continuous review"))
+    cases = [(p, demand_model(p), policy) for policies in sides
+             for p, policy in zip(catalog, policies)]
+    stats = [runs.stats() for runs in simulate_cases(cases, cfg).split(len(cases))]
+    per_product = {p.name: (stats[i], stats[i + len(catalog)]) for i, p in enumerate(catalog)}
     total_pq = sum(s.mean_profit for s, _ in per_product.values())
     total_rq = sum(s.mean_profit for _, s in per_product.values())
     rel = (total_rq - total_pq) / total_pq if total_pq != 0 else math.inf

@@ -34,3 +34,16 @@ def pra(products) -> ProductSpec:
 @pytest.fixture()
 def table1_path() -> str:
     return str(DATA_DIR / "table1.csv")
+
+
+def count_engine_calls(monkeypatch, module) -> list[int]:
+    """Record the run count of every ``_batch_over_reps`` call made through module."""
+    calls = []
+    engine = module._batch_over_reps
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[3]))  # rep_ids
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_batch_over_reps", counted)
+    return calls

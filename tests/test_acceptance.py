@@ -33,6 +33,7 @@ from invopt.simengine import (
     compare_policies,
     replicate,
     replication_samples,
+    simulate_cases,
     simulate_once,
     sweep_oup,
 )
@@ -100,13 +101,9 @@ def _tune_continuous(product, cfg):
         1, (product.lead_time_demand * np.array([0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0])).astype(int)))
     q_grid = np.unique(np.maximum(
         1, (q_center * np.array([0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5])).astype(int)))
-    best, best_profit = None, -np.inf
-    for r in r_grid:
-        for q in q_grid:
-            stats = replicate(product, model, ContinuousReview(int(r), int(q)), cfg)
-            if stats.mean_profit > best_profit:
-                best, best_profit = ContinuousReview(int(r), int(q)), stats.mean_profit
-    return best
+    grid = [ContinuousReview(int(r), int(q)) for r in r_grid for q in q_grid]
+    runs = simulate_cases([(product, model, policy) for policy in grid], cfg).split(len(grid))
+    return grid[int(np.argmax([part.stats().mean_profit for part in runs]))]
 
 
 def test_criterion_2_policy_comparison_direction():

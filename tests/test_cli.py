@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from invopt import simengine
 from invopt.cli import emit_histogram, main
 from invopt.errors import DomainError
+
+from conftest import count_engine_calls
 
 
 def run_cli(capsys, *argv):
@@ -180,16 +183,7 @@ class TestSimulateCommand:
     ])
     def test_one_batch_per_product(self, capsys, monkeypatch, tmp_path, table1_path,
                                    pq_params_file, extra, batches):
-        from invopt import simengine
-
-        calls = []
-        engine = simengine._batch_over_reps
-
-        def counted(*args, **kwargs):
-            calls.append(len(args[6]))
-            return engine(*args, **kwargs)
-
-        monkeypatch.setattr(simengine, "_batch_over_reps", counted)
+        calls = count_engine_calls(monkeypatch, simengine)
         paths = {"HIST": str(tmp_path / "h.csv"), "TRAJ": str(tmp_path / "t.csv")}
         code, _, _ = run_cli(capsys, "--catalog", table1_path, "simulate", "--policy", "pq",
                              "--params", pq_params_file, "--replications", "16",
@@ -306,6 +300,36 @@ class TestOptimizeCommand:
         assert err.startswith("config:")
 
 
+class TestOptimizeInputs:
+    @pytest.mark.parametrize("content", [[1, 5000], [[1, 2, 3]], [["a", 5000]], {"lo": 1}])
+    def test_malformed_bounds_rejected(self, capsys, tmp_path, table1_path, content):
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "optimize",
+                                 "--bounds", str(bounds), "--budget", "5",
+                                 "--initial-design", "4", "--replications", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config:") and "[lo, hi]" in err
+
+    @pytest.mark.parametrize("content, message", [
+        ({"centers": []}, "missing field 'alpha'"),
+        ([1.0], "config:"),
+        ({"alpha": "high"}, "config:"),
+        ({"alpha": 1.0, "centers": [[1, 2, 3, 4]], "widths": [1.0]}, "equal length"),
+    ])
+    def test_malformed_conditioning_rejected(self, capsys, tmp_path, table1_path,
+                                             content, message):
+        cond = tmp_path / "cond.json"
+        cond.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "optimize",
+                                 "--conditioning", str(cond), "--budget", "5",
+                                 "--initial-design", "4", "--replications", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config:") and message in err
+
+
 class TestSensitivityCommand:
     def test_linear_rows(self, capsys, table1_path, pq_params_file):
         code, out, _ = run_cli(capsys, "--catalog", table1_path, "sensitivity",
@@ -326,6 +350,16 @@ class TestSensitivityCommand:
         data = [l for l in out.splitlines() if not l.startswith("#")]
         # two variables x two deltas x four products
         assert len(data) == 1 + 2 * 2 * 4
+
+    def test_resim_one_engine_call_per_variable(self, capsys, monkeypatch, table1_path,
+                                                rq_params_file):
+        calls = count_engine_calls(monkeypatch, simengine)
+        code, _, _ = run_cli(capsys, "--catalog", table1_path, "sensitivity", "--mode", "resim",
+                             "--policy", "rq", "--params", rq_params_file,
+                             "--deltas", "0.1,-0.05,0.2", "--replications", "3",
+                             "--horizon", "30")
+        assert code == 0
+        assert calls == [3 * 4 * 3, 3 * 4 * 3]  # reorder_point, order_quantity
 
     def test_bad_deltas(self, capsys, table1_path, pq_params_file):
         code, _, err = run_cli(capsys, "--catalog", table1_path, "sensitivity",

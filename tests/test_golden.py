@@ -9,14 +9,18 @@ for a change that is meant to alter simulated results, and say why.
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from invopt.objectives import ProfitObjective
+from invopt.sensitivity import SensitivityRow, SensitivitySpec, sensitivity_resim
 from invopt.simengine import (
     BACKORDER,
     ContinuousReview,
     PeriodicReview,
     ReplicationStats,
     SimConfig,
+    compare_policies,
     replicate,
     replication_samples,
     sweep_oup,
@@ -87,4 +91,79 @@ def test_sweep_golden(pra):
                                 0.8396321341137268, 12.0, 100)),
         (2500, ReplicationStats(78547.76149315073, 3578.125502413993, 0.11372929785531437,
                                 0.8862707021446856, 12.0, 100)),
+    ]
+
+
+CANDIDATES = np.array([
+    [1440.0, 22270.0, 2570.0, 1200.0],
+    [900.4, 15000.0, 3100.0, 800.0],
+    [2500.0, 9000.6, 1800.0, 1600.0],
+])
+
+
+@pytest.mark.parametrize("mode, totals", [
+    ("rq", [840498.4170958903, 893271.6680547944, 928795.4007671233]),
+    ("pq", [686489.1863013699, 655899.618958904, 717794.8553972603]),
+])
+def test_evaluate_many_golden(catalog, mode, totals):
+    objective = ProfitObjective(catalog, SimConfig(horizon=365, replications=25, seed=7), mode)
+    assert objective.evaluate_many(CANDIDATES).tolist() == totals
+
+
+PQ_PARAMS = {"PrA": PeriodicReview(30, 2071), "PrB": PeriodicReview(30, 18424),
+             "PrC": PeriodicReview(20, 4154), "PrD": PeriodicReview(30, 1305)}
+RQ_PARAMS = {"PrA": ContinuousReview(870, 1440), "PrB": ContinuousReview(2790, 22270),
+             "PrC": ContinuousReview(2580, 2570), "PrD": ContinuousReview(1130, 1200)}
+
+
+def test_compare_golden(catalog):
+    cmp = compare_policies(catalog, SimConfig(horizon=365, replications=40, seed=9),
+                           PQ_PARAMS, RQ_PARAMS)
+    assert cmp.per_product == {
+        "PrA": (ReplicationStats(77102.76373287675, 2464.982774200449, 0.20060872934916527,
+                                 0.7993912706508347, 12.0, 40),
+                ReplicationStats(94080.08541095894, 7072.987348703043, 0.00768427399945435,
+                                 0.9923157260005456, 18.975, 40)),
+        "PrB": (ReplicationStats(200879.4656849314, 1547.0721180065857, 0.10846580928087723,
+                                 0.8915341907191228, 12.0, 40),
+                ReplicationStats(183403.90657534238, 7042.533310905127, 0.03389442387439742,
+                                 0.9661055761256025, 10.0, 40)),
+        "PrC": (ReplicationStats(155721.99917808216, 4462.743304420243, 0.1196527336777165,
+                                 0.8803472663222834, 18.0, 40),
+                ReplicationStats(165747.58321917805, 10253.967881338905, 0.003271363561149165,
+                                 0.9967286364388508, 19.325, 40)),
+        "PrD": (ReplicationStats(320387.1660958904, 22315.518086237338, 0.14853080291401322,
+                                 0.8514691970859868, 12.0, 40),
+                ReplicationStats(347933.1821917809, 34992.53014935124, 0.0, 1.0, 10.9, 40)),
+    }
+    assert cmp.total_periodic_profit == 754091.3946917807
+    assert cmp.total_continuous_profit == 791164.7573972603
+    assert cmp.relative_difference == 0.049162956859668955
+
+
+def test_compare_backorder_meet_or_delay_golden(catalog):
+    cfg = SimConfig(horizon=365, replications=30, seed=21, unmet_demand=BACKORDER,
+                    lead_time_mode=MeetOrDelay(0.7, 1.5))
+    cmp = compare_policies(catalog, cfg, PQ_PARAMS, RQ_PARAMS)
+    assert cmp.total_periodic_profit == 925690.4151598173
+    assert cmp.total_continuous_profit == 875981.4605936073
+    assert cmp.relative_difference == -0.0536993294433409
+
+
+def test_sensitivity_resim_golden(catalog):
+    rows = sensitivity_resim(catalog, RQ_PARAMS, SimConfig(horizon=365, replications=30, seed=4),
+                             SensitivitySpec("order_quantity", (0.1, -0.05), mode="resim"))
+
+    def row(delta, product, profit, std, lost, safety):
+        return SensitivityRow("order_quantity", delta, product, profit, std, lost, safety, ())
+
+    assert rows == [
+        row(0.1, "PrA", 93507.07872146122, 7731.594398827155, 0.004669500055922157, 165.0),
+        row(0.1, "PrB", 183911.45461187206, 3103.083304953567, 0.03033701092234924, 0.0),
+        row(0.1, "PrC", 166539.77844748853, 9905.32439733978, 0.0031975447401260556, 314.0),
+        row(0.1, "PrD", 341710.4748858447, 36681.14884902656, 0.0004387331256490135, 345.0),
+        row(-0.05, "PrA", 92483.45127853885, 5707.165621332716, 0.006040757931625843, 165.0),
+        row(-0.05, "PrB", 266829.05159817345, 4763.301802087764, 0.03577015857349206, 0.0),
+        row(-0.05, "PrC", 168000.51789954334, 9124.654536655664, 0.004315039176863023, 314.0),
+        row(-0.05, "PrD", 351480.4639269406, 37038.82091253958, 5.192107995846314e-06, 345.0),
     ]

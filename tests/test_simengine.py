@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,17 +11,24 @@ from invopt.simengine import (
     MAX_POLICY_UNITS,
     ContinuousReview,
     PeriodicReview,
+    RunSamples,
     SimConfig,
     _batch_over_reps,
-    _policy_arrays,
+    catalog_policies,
     compare_policies,
+    demand_model,
     mc_estimate,
     replicate,
     replication_samples,
+    simulate_cases,
     simulate_once,
     sweep_oup,
 )
+from invopt import objectives, simengine
+from invopt.objectives import ProfitObjective
 from invopt.stochastic import DemandModel, MeetOrDelay, RngStream
+
+from conftest import count_engine_calls
 
 
 
@@ -226,6 +234,75 @@ class TestComparePolicies:
             compare_policies(catalog, cfg, pq, rq)
 
 
+class TestMixedBatch:
+    """One batch over cases of both policy kinds, two products and two review
+    periods equals each case simulated on its own, run for run."""
+
+    @staticmethod
+    def cases(products):
+        pra, prc = products[0], products[2]  # lead times 9 and 15: ring sizes differ
+        return [
+            (pra, demand_model(pra), PeriodicReview(30, 2071)),
+            (prc, demand_model(prc), PeriodicReview(20, 4154)),
+            (pra, demand_model(pra), ContinuousReview(870, 1440)),
+            (prc, demand_model(prc), ContinuousReview(2580, 2570)),
+        ]
+
+    @staticmethod
+    def assert_same_runs(a, b, order=slice(None)):
+        """a's runs equal b's runs taken in the given order."""
+        for f in fields(RunSamples):
+            if isinstance(getattr(a, f.name), np.ndarray):
+                np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name)[order],
+                                              f.name)
+
+    @pytest.mark.parametrize("mode", [
+        {}, {"unmet_demand": BACKORDER}, {"lead_time_mode": MeetOrDelay(0.6, 1.5)},
+    ], ids=["lost_sales", "backorder", "meet_or_delay"])
+    def test_equals_per_case_replication_samples(self, products, mode):
+        cfg = small_cfg(replications=12, **mode)
+        cases = self.cases(products)
+        parts = simulate_cases(cases, cfg).split(len(cases))
+        for case, part in zip(cases, parts):
+            self.assert_same_runs(part, replication_samples(*case, cfg))
+
+    def test_run_order_does_not_matter(self, products):
+        cfg = small_cfg(replications=6, lead_time_mode=MeetOrDelay(0.5, 1.5))
+        cases = self.cases(products)
+        case_idx = np.repeat(np.arange(len(cases)), 6)
+        rep_ids = np.tile(np.arange(6), len(cases))
+        order = np.random.default_rng(3).permutation(len(case_idx))
+        shuffled = _batch_over_reps(cases, cfg, case_idx[order], rep_ids[order])
+        self.assert_same_runs(shuffled, simulate_cases(cases, cfg), order)
+
+
+class TestEngineCalls:
+    """Each command-level entry point makes one engine call."""
+
+    @pytest.mark.parametrize("mode", ["rq", "pq"])
+    def test_one_call_per_evaluate_many(self, monkeypatch, catalog, mode):
+        calls = count_engine_calls(monkeypatch, objectives)
+        objective = ProfitObjective(catalog, small_cfg(replications=5), mode)
+        objective.evaluate_many(np.full((3, len(catalog)), 1500.0))
+        assert calls == [3 * len(catalog) * 5]
+
+    def test_one_call_per_compare(self, monkeypatch, catalog):
+        calls = count_engine_calls(monkeypatch, simengine)
+        pq = {p.name: PeriodicReview(30, 3000) for p in catalog}
+        rq = {p.name: ContinuousReview(1000, 2000) for p in catalog}
+        compare_policies(catalog, small_cfg(replications=5), pq, rq)
+        assert calls == [2 * len(catalog) * 5]
+
+
+def test_catalog_policies_in_catalog_order(catalog):
+    params = {p.name: PeriodicReview(30, 1000 + i) for i, p in reversed(list(enumerate(catalog)))}
+    assert catalog_policies(catalog, params) == [PeriodicReview(30, 1000 + i)
+                                                 for i in range(len(catalog))]
+    del params["PrC"]
+    with pytest.raises(ConfigError, match="missing.*'PrC'"):
+        catalog_policies(catalog, params)
+
+
 class TestMcEstimate:
     def test_constant_samples(self):
         assert mc_estimate([3.0, 3.0, 3.0]) == (3.0, 0.0)
@@ -319,9 +396,7 @@ class TestRandomizedInvariants:
         runs_checked = 0
         for _ in range(260):
             product, model, policy, cfg = _random_case(rng)
-            kind, a, b = _policy_arrays(policy, cfg.replications)
-            rep_ids = np.arange(cfg.replications)
-            out = _batch_over_reps(product, model, cfg, kind, a, b, rep_ids)
+            out = replication_samples(product, model, policy, cfg)
             # exact ledger identity per run
             assert np.all(
                 out.profit
@@ -354,10 +429,7 @@ class TestRandomizedInvariants:
             high = low + int(rng.integers(1, 1500))
             out = {}
             for oup in (low, high):
-                kind, a, b = _policy_arrays(PeriodicReview(30, oup), cfg.replications)
-                out[oup] = _batch_over_reps(
-                    pra, model, cfg, kind, a, b, np.arange(cfg.replications)
-                )
+                out[oup] = replication_samples(pra, model, PeriodicReview(30, oup), cfg)
             assert np.all(out[high].sold_units >= out[low].sold_units)
 
     def test_crn_monotonicity_reorder_point(self, pra):
@@ -370,10 +442,7 @@ class TestRandomizedInvariants:
             r_high = r_low + int(rng.integers(1, 1200))
             out = {}
             for r in (r_low, r_high):
-                kind, a, b = _policy_arrays(ContinuousReview(r, q), cfg.replications)
-                out[r] = _batch_over_reps(
-                    pra, model, cfg, kind, a, b, np.arange(cfg.replications)
-                )
+                out[r] = replication_samples(pra, model, ContinuousReview(r, q), cfg)
             assert np.all(out[r_high].sold_units >= out[r_low].sold_units)
             assert np.all(out[r_high].unmet_units <= out[r_low].unmet_units)
 
@@ -387,10 +456,7 @@ class TestRandomizedInvariants:
         cfg = small_cfg(replications=8, seed=802)
         out = {}
         for q in (1219, 1305):
-            kind, a, b = _policy_arrays(ContinuousReview(646, q), cfg.replications)
-            out[q] = _batch_over_reps(
-                pra, model, cfg, kind, a, b, np.arange(cfg.replications)
-            )
+            out[q] = replication_samples(pra, model, ContinuousReview(646, q), cfg)
         assert np.any(out[1305].sold_units < out[1219].sold_units)
 
 
