@@ -42,7 +42,6 @@ from .gpbo import (
     BoResult,
     ConditioningFn,
     GpModel,
-    HyperBounds,
     Kernel,
     ObjectiveError,
     bo_run,
@@ -51,7 +50,6 @@ from .gpbo import (
     gp_fit,
     gp_posterior,
     kernel_eval,
-    log_marginal_likelihood,
     probability_of_improvement,
     propose_next,
 )

@@ -31,6 +31,7 @@ from .sensitivity import (
     sensitivity_resim,
 )
 from .simengine import (
+    DEFAULT_REVIEW_PERIOD,
     MAX_POLICY_UNITS,
     ContinuousReview,
     PeriodicReview,
@@ -156,7 +157,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--product", required=True)
     p_sweep.add_argument("--oup-range", required=True, metavar="LO:HI")
     p_sweep.add_argument("--step", type=int, default=50)
-    p_sweep.add_argument("--review", type=int, default=30)
+    p_sweep.add_argument("--review", type=int, default=DEFAULT_REVIEW_PERIOD)
     p_sweep.add_argument("--horizon", type=int, default=365)
     p_sweep.add_argument("--replications", type=int, default=1000)
 
@@ -216,7 +217,8 @@ def _load_params(path: str, policy: str) -> dict:
         try:
             if policy == "pq":
                 params[name] = PeriodicReview(
-                    _whole(fields.get("review_period", 30)), _whole(fields["order_up_to"])
+                    _whole(fields.get("review_period", DEFAULT_REVIEW_PERIOD)),
+                    _whole(fields["order_up_to"]),
                 )
             else:
                 params[name] = ContinuousReview(
@@ -453,7 +455,7 @@ def _cmd_sensitivity(args) -> int:
     rows = []
     if args.mode == "resim":
         for variable in variables:
-            spec = SensitivitySpec(variable, deltas, mode="resim")
+            spec = SensitivitySpec(variable, deltas)
             rows.extend(sensitivity_resim(catalog, params, cfg, spec))
     else:
         cases = [(p, demand_model(p), policy) for p, policy in zip(catalog, policies)]
@@ -462,7 +464,7 @@ def _cmd_sensitivity(args) -> int:
             for (p, _, policy), runs in zip(cases, simulate_cases(cases, cfg).split(len(cases)))
         }
         for variable in variables:
-            spec = SensitivitySpec(variable, deltas, mode="linear")
+            spec = SensitivitySpec(variable, deltas)
             rows.extend(sensitivity_linear(baseline, spec))
 
     lines = ["variable,delta,product,profit,profit_std,lost_orders,safety_stock,needs_resim"]

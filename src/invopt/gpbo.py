@@ -8,7 +8,9 @@ shifts the prior mean to encode prior beliefs about promising regions;
 setting it to None (or giving it no centers) recovers plain GP regression.
 Hyperparameters are chosen by maximizing the log marginal likelihood with
 multi-start L-BFGS-B on inputs scaled to the unit box and standardized
-outputs; the fitted model stores everything in original units.
+outputs; the fitted model stores everything in original units.  A fit keeps
+no state between calls: it depends only on its data, conditioning, input
+bounds and seed, so each optimization step refits from the same starts.
 """
 
 from __future__ import annotations
@@ -29,21 +31,9 @@ from .errors import ConfigError, DomainError, NumericalError
 LENGTH_SCALE_BOUNDS = (1e-3, 10.0)
 SIGNAL_VARIANCE_BOUNDS = (1e-6, 10.0)
 NOISE_VARIANCE_BOUNDS = (1e-10, 1.0)
-N_RESTARTS = 8
-
-
-@dataclass(frozen=True)
-class HyperBounds:
-    """Search box for gp_fit hyperparameters (unit-box / standardized scale)."""
-
-    signal_variance: tuple[float, float] = SIGNAL_VARIANCE_BOUNDS
-    length_scale: tuple[float, float] = LENGTH_SCALE_BOUNDS
-    noise_variance: tuple[float, float] = NOISE_VARIANCE_BOUNDS
-
-    def __post_init__(self) -> None:
-        for lo, hi in (self.signal_variance, self.length_scale, self.noise_variance):
-            if not 0 < lo < hi:
-                raise ConfigError(f"invalid hyperparameter bound ({lo}, {hi})")
+N_RESTARTS = 8        # marginal-likelihood searches per gp_fit
+N_CANDIDATES = 512    # scrambled-Sobol acquisition candidates per proposal
+REFINE_TOP = 8        # best candidates refined by L-BFGS-B
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -180,10 +170,6 @@ class GpModel:
         return cls(x, y, kernel, noise_variance, prior_mean, conditioning,
                    chol, alpha_vec, jitter, lml)
 
-    @property
-    def prior_variance(self) -> float:
-        return self.kernel.signal_variance
-
 
 def _chol_with_escalation(
     gram: np.ndarray, noise_variance: float, signal_variance: float
@@ -230,20 +216,6 @@ def gp_posterior(model: GpModel, x) -> tuple[float, float] | tuple[np.ndarray, n
     return mean, var
 
 
-def log_marginal_likelihood(
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    kernel: Kernel,
-    noise_variance: float,
-    prior_mean: float | None = None,
-    conditioning: ConditioningFn | None = None,
-) -> float:
-    """LML of the data under the given hyperparameters (original units)."""
-    return GpModel.build(
-        x_train, y_train, kernel, noise_variance, prior_mean, conditioning
-    ).log_marginal_likelihood
-
-
 def _neg_lml_and_grad(theta: np.ndarray, sqd: np.ndarray, y: np.ndarray):
     """Negative LML and gradient wrt theta = log [sf2, l_1..d, sn2].
 
@@ -277,18 +249,16 @@ def gp_fit(
     x_train: np.ndarray,
     y_train: np.ndarray,
     conditioning: ConditioningFn | None = None,
-    hyper_bounds: HyperBounds | None = None,
     input_bounds: Sequence[tuple[float, float]] | None = None,
-    n_restarts: int = N_RESTARTS,
-    initial: tuple[Kernel, float] | None = None,
     seed: int = 0,
 ) -> GpModel:
     """Fit kernel and noise hyperparameters by maximum marginal likelihood.
 
     Inputs are scaled to the unit box (using input_bounds, or the data range)
-    and outputs standardized for the search; the returned model carries the
-    equivalent original-scale hyperparameters.  `initial` warm-starts the
-    first of the multi-start local searches.
+    and outputs standardized for the search, which runs L-BFGS-B from
+    N_RESTARTS starts: a fixed default and random ones drawn from `seed`,
+    within the *_BOUNDS boxes.  The returned model carries the equivalent
+    original-scale hyperparameters and depends only on the arguments.
     """
     x = np.atleast_2d(np.asarray(x_train, float))
     y = np.asarray(y_train, float).ravel()
@@ -317,28 +287,12 @@ def gp_fit(
     diff = x_scaled[:, None, :] - x_scaled[None, :, :]
     sqd = diff * diff
 
-    hb = hyper_bounds or HyperBounds()
-    log_bounds = (
-        [tuple(math.log(b) for b in hb.signal_variance)]
-        + [tuple(math.log(b) for b in hb.length_scale)] * d
-        + [tuple(math.log(b) for b in hb.noise_variance)]
-    )
-    starts = []
-    if initial is not None:
-        kern0, noise0 = initial
-        start = np.hstack((
-            [math.log(kern0.signal_variance / sd**2)],
-            np.log(np.asarray(kern0.length_scales) / width),
-            [math.log(max(noise0 / sd**2, hb.noise_variance[0]))],
-        ))
-        starts.append(start)
-    starts.append(np.hstack(([0.0], np.full(d, math.log(0.3)), [math.log(1e-4)])))
+    box = [SIGNAL_VARIANCE_BOUNDS] + [LENGTH_SCALE_BOUNDS] * d + [NOISE_VARIANCE_BOUNDS]
+    log_bounds = [(math.log(a), math.log(b)) for a, b in box]
+    lo_b, hi_b = np.array(log_bounds).T
     rng = np.random.default_rng(seed)
-    lo_b = np.array([b[0] for b in log_bounds])
-    hi_b = np.array([b[1] for b in log_bounds])
-    while len(starts) < n_restarts:
-        starts.append(rng.uniform(lo_b, hi_b))
-    starts = [np.clip(s, lo_b, hi_b) for s in starts[:max(n_restarts, 1)]]
+    starts = [np.hstack(([0.0], np.full(d, math.log(0.3)), [math.log(1e-4)]))]
+    starts += [rng.uniform(lo_b, hi_b) for _ in range(N_RESTARTS - 1)]
 
     best_theta, best_val = None, np.inf
     for start in starts:
@@ -497,8 +451,6 @@ def propose_next(
     f_best: float | None = None,
     direction: str = "maximize",
     seed: int | None = None,
-    n_candidates: int = 512,
-    refine_top: int = 8,
 ) -> np.ndarray:
     """Acquisition argmax over the box: a scrambled-Sobol candidate sweep
     followed by local refinement of the best candidates.
@@ -512,7 +464,7 @@ def propose_next(
         f_best = float(np.max(model.y_train) if direction == "maximize"
                        else np.min(model.y_train))
     sampler = qmc.Sobol(cfg.dim, scramble=True, seed=cfg.seed if seed is None else seed)
-    base = sampler.random_base2(max(1, math.ceil(math.log2(n_candidates))))
+    base = sampler.random_base2(int(math.log2(N_CANDIDATES)))
     candidates = cfg.lo + base * (cfg.hi - cfg.lo)
     acq = _acquisition_values(model, candidates, f_best, cfg.acquisition, direction)
 
@@ -524,7 +476,7 @@ def propose_next(
 
     pool_pts = [candidates]
     pool_acq = [acq]
-    top = np.argsort(acq)[-refine_top:]
+    top = np.argsort(acq)[-REFINE_TOP:]
     box = [(float(l), float(h)) for l, h in cfg.bounds]
 
     def neg_acq(z: np.ndarray) -> float:
@@ -586,18 +538,10 @@ def bo_run(
     for pt in init_pts:
         evaluate(pt)
 
-    prev: tuple[Kernel, float] | None = None
     for iteration in range(cfg.initial_design, cfg.budget):
         x_obs = np.array([p for p, _ in history])
         y_obs = np.array([v for _, v in history])
-        model = gp_fit(
-            x_obs, y_obs, conditioning,
-            input_bounds=cfg.bounds,
-            n_restarts=N_RESTARTS if prev is None else 3,
-            initial=prev,
-            seed=cfg.seed,
-        )
-        prev = (model.kernel, model.noise_variance)
+        model = gp_fit(x_obs, y_obs, conditioning, input_bounds=cfg.bounds, seed=cfg.seed)
         step_seed = int(np.random.SeedSequence(
             entropy=cfg.seed, spawn_key=(iteration,)).generate_state(1)[0])
         x_next = propose_next(model, cfg, direction=direction, seed=step_seed)

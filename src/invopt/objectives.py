@@ -22,6 +22,7 @@ import numpy as np
 from .catalog import Catalog, ProductSpec
 from .errors import ConfigError
 from .simengine import (
+    DEFAULT_REVIEW_PERIOD,
     ContinuousReview,
     PeriodicReview,
     PolicyParams,
@@ -29,8 +30,6 @@ from .simengine import (
     _batch_over_reps,
     demand_model,
 )
-
-DEFAULT_REVIEW_PERIOD = 30
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ DEFAULT_DELTAS = (0.10, -0.05)
 class SensitivitySpec:
     variable: str
     deltas: tuple[float, ...] = DEFAULT_DELTAS
-    mode: str = "linear"
 
     def __post_init__(self) -> None:
         if self.variable not in KNOWN_VARIABLES:
@@ -56,8 +55,6 @@ class SensitivitySpec:
             raise ConfigError("deltas must not be empty")
         if any(d <= -1.0 for d in self.deltas):
             raise ConfigError("every delta must be > -1")
-        if self.mode not in ("linear", "resim"):
-            raise ConfigError(f"mode {self.mode!r} not 'linear' or 'resim'")
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,9 @@ BACKORDER = "backorder"
 # wrapping (a year of daily orders of this size stays below 2**49 units).
 MAX_POLICY_UNITS = 2**40
 
+# Review period, in days, wherever a periodic-review policy does not name one.
+DEFAULT_REVIEW_PERIOD = 30
+
 
 def _check_fields(policy) -> None:
     values = [getattr(policy, f.name) for f in fields(policy)]
@@ -417,7 +420,7 @@ def sweep_oup(
     cfg: SimConfig,
     oup_range: tuple[int, int],
     step: int = 1,
-    review_period: int = 30,
+    review_period: int = DEFAULT_REVIEW_PERIOD,
 ) -> list[tuple[int, ReplicationStats]]:
     """Replicate a periodic-review policy across an inclusive order-up-to range.
 

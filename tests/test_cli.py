@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ from invopt.cli import emit_histogram, main
 from invopt.errors import DomainError
 
 from conftest import count_engine_calls
+
+REFERENCES = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "references.json").read_text(encoding="utf-8")
+)
 
 
 def run_cli(capsys, *argv):
@@ -264,6 +269,20 @@ class TestOptimizeCommand:
         incumbents = [float(l.split(",")[-1]) for l in data[1:]]
         assert incumbents == sorted(incumbents)
         assert "# manifest best_value=" in out
+
+    def test_proposals_clear_floor_at_collapse_seed(self, capsys, table1_path):
+        # at this seed a fit warm-started from the previous one used to pin every
+        # length scale at its lower bound, and EI proposed near the box edge
+        code, out, _ = run_cli(capsys, "--catalog", table1_path, "--seed", "1646087339",
+                               "optimize", "--objective", "rq", "--budget", "24",
+                               "--replications", "25")
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+        assert [int(r[0]) for r in rows] == list(range(24))
+        proposed = max(float(r[-2]) for r in rows if int(r[0]) >= 12)
+        floor = (REFERENCES["optimize_proposal_floor_fraction"]
+                 * REFERENCES["optimize_reference_optimum"])
+        assert proposed >= floor
 
     def test_conditioning_file(self, capsys, tmp_path, table1_path):
         cond = tmp_path / "cond.json"

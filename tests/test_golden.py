@@ -152,7 +152,7 @@ def test_compare_backorder_meet_or_delay_golden(catalog):
 
 def test_sensitivity_resim_golden(catalog):
     rows = sensitivity_resim(catalog, RQ_PARAMS, SimConfig(horizon=365, replications=30, seed=4),
-                             SensitivitySpec("order_quantity", (0.1, -0.05), mode="resim"))
+                             SensitivitySpec("order_quantity", (0.1, -0.05)))
 
     def row(delta, product, profit, std, lost, safety):
         return SensitivityRow("order_quantity", delta, product, profit, std, lost, safety, ())

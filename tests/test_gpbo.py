@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from invopt.errors import ConfigError, DomainError, NumericalError
+from invopt import gpbo
 from invopt.gpbo import (
+    LENGTH_SCALE_BOUNDS,
     BoConfig,
     ConditioningFn,
     GpModel,
@@ -18,7 +20,6 @@ from invopt.gpbo import (
     gp_fit,
     gp_posterior,
     kernel_eval,
-    log_marginal_likelihood,
     probability_of_improvement,
     propose_next,
 )
@@ -189,13 +190,13 @@ class TestGpFit:
         x = rng.uniform(0, 2, size=(15, 2))
         y = np.sin(x[:, 0]) * np.cos(x[:, 1]) + 0.05 * rng.normal(size=15)
         model = gp_fit(x, y, seed=0)
-        fitted_lml = log_marginal_likelihood(
+        fitted_lml = GpModel.build(
             x, y, model.kernel, model.noise_variance, model.prior_mean
-        )
+        ).log_marginal_likelihood
         for _ in range(10):
             kernel = Kernel(float(rng.uniform(0.01, 5)), tuple(rng.uniform(0.05, 5, 2)))
             noise = float(rng.uniform(1e-6, 0.5))
-            random_lml = log_marginal_likelihood(x, y, kernel, noise, model.prior_mean)
+            random_lml = GpModel.build(x, y, kernel, noise, model.prior_mean).log_marginal_likelihood
             assert fitted_lml >= random_lml - 1e-9
 
     def test_too_few_points_rejected(self):
@@ -203,20 +204,14 @@ class TestGpFit:
             gp_fit(np.array([[0.0]]), np.array([1.0]))
 
     def test_hyper_bounds_respected(self):
-        from invopt.gpbo import HyperBounds
-
+        # white noise has no length scale of its own, yet the fit must keep one
+        # inside the search box (on the unit box the two scales coincide)
         rng = np.random.default_rng(14)
         x = rng.uniform(0, 1, size=(15, 1))
-        y = np.sin(6 * x[:, 0])
-        tight = HyperBounds(length_scale=(2.0, 5.0))  # force a long length scale
-        model = gp_fit(x, y, hyper_bounds=tight, input_bounds=[(0.0, 1.0)], seed=0)
-        assert 2.0 - 1e-9 <= model.kernel.length_scales[0] <= 5.0 + 1e-9
-
-    def test_bad_hyper_bounds_rejected(self):
-        from invopt.gpbo import HyperBounds
-
-        with pytest.raises(ConfigError):
-            HyperBounds(length_scale=(1.0, 0.5))
+        y = rng.normal(size=15)
+        model = gp_fit(x, y, input_bounds=[(0.0, 1.0)], seed=0)
+        lo, hi = LENGTH_SCALE_BOUNDS
+        assert lo * (1 - 1e-9) <= model.kernel.length_scales[0] <= hi * (1 + 1e-9)
 
 
 class TestConditionMvn:
@@ -412,6 +407,26 @@ class TestBoRun:
         cfg = BoConfig(bounds=((0.0, 1.0),), budget=20, initial_design=6, seed=8)
         result = bo_run(objective, cfg)
         assert abs(result.best_x[0] - 0.7) < 0.05
+
+    def test_each_fit_is_fresh(self, monkeypatch):
+        # every fit bo_run makes equals a fit of the same observations from scratch
+        fit, fits = gpbo.gp_fit, []
+
+        def recording_fit(*args, **kwargs):
+            fits.append(fit(*args, **kwargs))
+            return fits[-1]
+
+        def objective(x):
+            return float(np.sin(9 * x[0]) + 0.3 * x[0])
+
+        cfg = BoConfig(bounds=((0.0, 1.0),), budget=14, initial_design=4, seed=12)
+        monkeypatch.setattr(gpbo, "gp_fit", recording_fit)
+        bo_run(objective, cfg)
+        assert len(fits) == cfg.budget - cfg.initial_design
+        for model in fits:
+            fresh = fit(model.x_train, model.y_train, input_bounds=cfg.bounds, seed=cfg.seed)
+            assert fresh.kernel == model.kernel
+            assert fresh.noise_variance == model.noise_variance
 
     def test_objective_failure_keeps_partial_history(self):
         def objective(x):

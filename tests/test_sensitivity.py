@@ -95,7 +95,7 @@ class TestResimMode:
         cfg = SimConfig(horizon=200, replications=20, seed=5)
         params = {"PrA": PeriodicReview(30, 2071)}
         base_stats = replicate(pra, demand_for(pra), params["PrA"], cfg)
-        rows = sensitivity_resim(cat, params, cfg, SensitivitySpec("oup", (0.0,), mode="resim"))
+        rows = sensitivity_resim(cat, params, cfg, SensitivitySpec("oup", (0.0,)))
         assert rows[0].profit == base_stats.mean_profit
         assert rows[0].profit_std == base_stats.profit_std
         assert rows[0].lost_orders == base_stats.lost_order_fraction
@@ -106,7 +106,7 @@ class TestResimMode:
         cfg = SimConfig(horizon=365, replications=20, seed=6)
         params = {"PrA": PeriodicReview(30, 2000)}
         base = replicate(pra, demand_for(pra), params["PrA"], cfg)
-        rows = sensitivity_resim(cat, params, cfg, SensitivitySpec("oup", (0.10,), mode="resim"))
+        rows = sensitivity_resim(cat, params, cfg, SensitivitySpec("oup", (0.10,)))
         assert rows[0].lost_orders <= base.lost_order_fraction
 
     def test_reorder_point_decrease_loses_at_least_baseline(self, products):
@@ -116,7 +116,7 @@ class TestResimMode:
         params = {"PrA": ContinuousReview(900, 1700)}
         base = replicate(pra, demand_for(pra), params["PrA"], cfg)
         rows = sensitivity_resim(
-            cat, params, cfg, SensitivitySpec("reorder_point", (-0.05,), mode="resim")
+            cat, params, cfg, SensitivitySpec("reorder_point", (-0.05,))
         )
         assert rows[0].lost_orders >= base.lost_order_fraction
 
@@ -124,7 +124,7 @@ class TestResimMode:
         cfg = SimConfig(horizon=60, replications=4, seed=8)
         params = {p.name: PeriodicReview(30, 3000) for p in catalog}
         rows = sensitivity_resim(
-            catalog, params, cfg, SensitivitySpec("oup", (0.10, -0.05), mode="resim")
+            catalog, params, cfg, SensitivitySpec("oup", (0.10, -0.05))
         )
         combos = [(r.delta, r.product) for r in rows]
         assert combos == [(d, p.name) for d in (0.10, -0.05) for p in catalog]
@@ -136,7 +136,7 @@ class TestResimMode:
         params = {"PrA": ContinuousReview(1, 1700)}
         with pytest.raises(ConfigError, match="positive"):
             sensitivity_resim(
-                cat, params, cfg, SensitivitySpec("reorder_point", (-0.9,), mode="resim")
+                cat, params, cfg, SensitivitySpec("reorder_point", (-0.9,))
             )
 
     def test_variable_policy_mismatch_rejected(self, products):
@@ -146,7 +146,7 @@ class TestResimMode:
         with pytest.raises(ConfigError):
             sensitivity_resim(
                 cat, {"PrA": ContinuousReview(900, 1700)}, cfg,
-                SensitivitySpec("oup", (0.1,), mode="resim"),
+                SensitivitySpec("oup", (0.1,)),
             )
 
     def test_missing_product_params_rejected(self, catalog):
@@ -154,7 +154,7 @@ class TestResimMode:
         with pytest.raises(ConfigError, match="missing"):
             sensitivity_resim(
                 catalog, {"PrA": PeriodicReview(30, 2000)}, cfg,
-                SensitivitySpec("oup", (0.1,), mode="resim"),
+                SensitivitySpec("oup", (0.1,)),
             )
 
     def test_linear_only_variable_rejected_in_resim(self, catalog):
@@ -163,7 +163,7 @@ class TestResimMode:
         with pytest.raises(ConfigError, match="resim"):
             sensitivity_resim(
                 catalog, params, cfg,
-                SensitivitySpec("expected_profit", (0.1,), mode="resim"),
+                SensitivitySpec("expected_profit", (0.1,)),
             )
 
 
