@@ -8,9 +8,11 @@ shifts the prior mean to encode prior beliefs about promising regions;
 setting it to None (or giving it no centers) recovers plain GP regression.
 Hyperparameters are chosen by maximizing the log marginal likelihood with
 multi-start L-BFGS-B on inputs scaled to the unit box and standardized
-outputs; the fitted model stores everything in original units.  A fit keeps
-no state between calls: it depends only on its data, conditioning, input
-bounds and seed, so each optimization step refits from the same starts.
+outputs; the fitted model stores everything in original units, and caches
+its training inputs divided by the length scales (with their squared row
+norms), so a posterior query computes only the cross terms.  A fit keeps no
+state between calls: it depends only on its data, conditioning, input bounds
+and seed, so each optimization step refits from the same starts.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import minimize
 from scipy.special import ndtr
 from scipy.stats import qmc
@@ -68,15 +71,10 @@ def kernel_eval(kernel: Kernel, x: Sequence[float], x2: Sequence[float]) -> floa
     return kernel.signal_variance * math.exp(-0.5 * float(scaled @ scaled))
 
 
-def _gram(kernel: Kernel, xa: np.ndarray, xb: np.ndarray | None = None) -> np.ndarray:
-    ell = np.asarray(kernel.length_scales)
-    a = xa / ell
-    b = a if xb is None else xb / ell
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * a @ b.T
-    )
+def _gram(kernel: Kernel, x: np.ndarray) -> np.ndarray:
+    a = x / np.asarray(kernel.length_scales)
+    norms = np.sum(a * a, axis=1)
+    sq = norms[:, None] + norms[None, :] - 2.0 * a @ a.T
     return kernel.signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
 
 
@@ -120,7 +118,8 @@ def _kappa(conditioning: ConditioningFn | None, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GpModel:
-    """Fitted GP: data, kernel, noise, adjusted prior mean, cached Cholesky."""
+    """Fitted GP: data, kernel, noise, adjusted prior mean, cached Cholesky
+    and scaled training inputs."""
 
     x_train: np.ndarray
     y_train: np.ndarray
@@ -132,6 +131,12 @@ class GpModel:
     alpha_vec: np.ndarray = field(repr=False)
     jitter: float
     log_marginal_likelihood: float
+    x_scaled: np.ndarray = field(init=False, repr=False)  # x_train / length scales
+    x_sq: np.ndarray = field(init=False, repr=False)      # squared row norms of x_scaled
+
+    def __post_init__(self) -> None:
+        self.x_scaled = self.x_train / np.asarray(self.kernel.length_scales)
+        self.x_sq = np.sum(self.x_scaled * self.x_scaled, axis=1)
 
     @classmethod
     def build(
@@ -202,17 +207,35 @@ def gp_posterior(model: GpModel, x) -> tuple[float, float] | tuple[np.ndarray, n
     mean(x) = m_c(x) + k(x, X) (K + s2 I)^-1 (y - m_c(X)), with m_c the
     adjusted prior mean; the variance is floored at zero.
     """
+    pts, single = _query_points(model, x)
+    mean, var = _moments(model, pts)
+    if single:
+        return float(mean[0]), float(var[0])
+    return mean, var
+
+
+def _query_points(model: GpModel, x) -> tuple[np.ndarray, bool]:
+    """Query points as an (m, d) array, and whether x was a single point."""
     pts = np.asarray(x, float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[1] != model.kernel.dim:
         raise DomainError(f"query points must be {model.kernel.dim}-dimensional")
-    k_star = _gram(model.kernel, pts, model.x_train)
-    mean = model.prior_mean + _kappa(model.conditioning, pts) + k_star @ model.alpha_vec
-    v = solve_triangular(model.chol, k_star.T, lower=True)
-    var = np.maximum(model.kernel.signal_variance - np.sum(v * v, axis=0), 0.0)
-    if single:
-        return float(mean[0]), float(var[0])
+    return pts, single
+
+
+def _moments(model: GpModel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance at validated (m, d) points."""
+    a = pts / np.asarray(model.kernel.length_scales)
+    sq = (a * a).sum(1)[:, None] + model.x_sq[None, :] - 2.0 * a @ model.x_scaled.T
+    k_star = model.kernel.signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
+    prior = model.prior_mean
+    if model.conditioning is not None:
+        prior = prior + model.conditioning(pts)
+    mean = prior + k_star @ model.alpha_vec
+    # L v = k*^T, solved as solve_triangular does for a C-ordered factor
+    v, _ = dtrtrs(model.chol.T, k_star.T, lower=False, trans=True)
+    var = np.maximum(model.kernel.signal_variance - (v * v).sum(0), 0.0)
     return mean, var
 
 
@@ -229,13 +252,13 @@ def _neg_lml_and_grad(theta: np.ndarray, sqd: np.ndarray, y: np.ndarray):
     k_se = sf2 * np.exp(-0.5 * np.sum(sqd / ell2, axis=2))
     k_full = k_se + sn2 * np.eye(n)
     try:
-        chol, _ = cho_factor(k_full, lower=True)
+        chol, _ = cho_factor(k_full, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         return np.inf, np.zeros_like(theta)
-    alpha = cho_solve((chol, True), y)
+    alpha = cho_solve((chol, True), y, check_finite=False)
     lml = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(np.tril(chol))))) \
         - 0.5 * n * _LOG_2PI
-    k_inv = cho_solve((chol, True), np.eye(n))
+    k_inv = cho_solve((chol, True), np.eye(n), check_finite=False)
     m = np.outer(alpha, alpha) - k_inv
     grad = np.empty_like(theta)
     grad[0] = 0.5 * float(np.sum(m * k_se))
@@ -267,6 +290,8 @@ def gp_fit(
         raise DomainError(f"|X| = {n} but |y| = {len(y)}")
     if n < 2:
         raise DomainError("gp_fit requires at least 2 observations")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise NumericalError("gp_fit: training data contains non-finite values")
 
     if input_bounds is None:
         lo, hi = x.min(axis=0), x.max(axis=0)
@@ -359,22 +384,28 @@ def expected_improvement(
     model: GpModel, x, f_best: float, direction: str = "maximize"
 ) -> float | np.ndarray:
     """Closed-form expected improvement over the incumbent f_best."""
-    mean, var = gp_posterior(model, x)
-    return _ei_from_moments(np.asarray(mean), np.asarray(var), f_best, direction)
+    pts, single = _query_points(model, x)
+    out = _ei_from_moments(*_moments(model, pts), f_best, direction)
+    return float(out[0]) if single else out
+
+
+def _improvement(mean, f_best: float, direction: str):
+    if direction == "maximize":
+        return mean - f_best
+    if direction == "minimize":
+        return f_best - mean
+    raise ConfigError(f"direction {direction!r} not 'maximize' or 'minimize'")
 
 
 def _ei_from_moments(mean, var, f_best: float, direction: str):
-    if direction not in ("maximize", "minimize"):
-        raise ConfigError(f"direction {direction!r} not 'maximize' or 'minimize'")
-    improve = mean - f_best if direction == "maximize" else f_best - mean
+    improve = _improvement(mean, f_best, direction)
     sd = np.sqrt(var)
-    out = np.maximum(improve, 0.0)
     positive = sd > 0
-    if np.any(positive):
-        z = np.where(positive, improve / np.where(positive, sd, 1.0), 0.0)
-        pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
-        ei = improve * ndtr(z) + sd * pdf
-        out = np.where(positive, ei, out)
+    every = positive.all()
+    # a point with zero sd has the improvement itself, floored at zero, as its EI
+    z = improve / sd if every else np.where(positive, improve / np.where(positive, sd, 1.0), 0.0)
+    ei = improve * ndtr(z) + sd * (np.exp(-0.5 * z * z) / _SQRT_2PI)
+    out = ei if every else np.where(positive, ei, np.maximum(improve, 0.0))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -382,14 +413,13 @@ def probability_of_improvement(
     model: GpModel, x, f_best: float, direction: str = "maximize"
 ) -> float | np.ndarray:
     """Phi(z): probability that x improves on the incumbent."""
-    mean, var = gp_posterior(model, x)
-    mean, var = np.asarray(mean), np.asarray(var)
-    improve = mean - f_best if direction == "maximize" else f_best - mean
+    pts, single = _query_points(model, x)
+    mean, var = _moments(model, pts)
+    improve = _improvement(mean, f_best, direction)
     sd = np.sqrt(var)
-    with np.errstate(divide="ignore"):
-        z = np.where(sd > 0, improve / np.where(sd > 0, sd, 1.0), np.where(improve > 0, np.inf, -np.inf))
+    z = np.where(sd > 0, improve / np.where(sd > 0, sd, 1.0), np.where(improve > 0, np.inf, -np.inf))
     out = ndtr(z)
-    return float(out) if np.ndim(out) == 0 else out
+    return float(out[0]) if single else out
 
 
 @dataclass(frozen=True)
@@ -438,13 +468,6 @@ class ObjectiveError(NumericalError):
         self.history = history
 
 
-def _acquisition_values(model: GpModel, pts: np.ndarray, f_best: float,
-                        acquisition: str, direction: str) -> np.ndarray:
-    if acquisition == "ei":
-        return np.asarray(expected_improvement(model, pts, f_best, direction))
-    return np.asarray(probability_of_improvement(model, pts, f_best, direction))
-
-
 def propose_next(
     model: GpModel,
     cfg: BoConfig,
@@ -466,7 +489,8 @@ def propose_next(
     sampler = qmc.Sobol(cfg.dim, scramble=True, seed=cfg.seed if seed is None else seed)
     base = sampler.random_base2(int(math.log2(N_CANDIDATES)))
     candidates = cfg.lo + base * (cfg.hi - cfg.lo)
-    acq = _acquisition_values(model, candidates, f_best, cfg.acquisition, direction)
+    acquire = expected_improvement if cfg.acquisition == "ei" else probability_of_improvement
+    acq = acquire(model, candidates, f_best, direction)
 
     if float(np.max(acq)) <= 1e-16:
         mean, _ = gp_posterior(model, candidates)
@@ -480,8 +504,7 @@ def propose_next(
     box = [(float(l), float(h)) for l, h in cfg.bounds]
 
     def neg_acq(z: np.ndarray) -> float:
-        return -float(_acquisition_values(
-            model, z[None, :], f_best, cfg.acquisition, direction)[0])
+        return -float(acquire(model, z[None, :], f_best, direction)[0])
 
     for idx in top:
         res = minimize(neg_acq, candidates[idx], method="L-BFGS-B", bounds=box)
@@ -515,28 +538,43 @@ def bo_run(
 
     Deterministic given cfg.seed, provided the objective is a deterministic
     function of x (a simulated objective should fix its common-random-numbers
-    seed, as ProfitObjective does through its SimConfig).
+    seed, as ProfitObjective does through its SimConfig).  An objective with
+    an `evaluate_many(points)` method gets the whole initial design in one
+    call; every value is still checked at its own point.
     """
     history: list[tuple[np.ndarray, float]] = []
 
-    def evaluate(pt: np.ndarray) -> float:
+    def record(pt: np.ndarray, val: float) -> None:
+        if not math.isfinite(val):
+            raise ObjectiveError(
+                f"objective returned non-finite value {val} at {pt.tolist()}", history
+            )
+        history.append((pt.copy(), val))
+
+    def evaluate(pt: np.ndarray) -> None:
         try:
             val = float(objective(pt))
         except Exception as exc:
             raise ObjectiveError(
                 f"objective evaluation failed at {pt.tolist()}: {exc}", history
             ) from exc
-        if not math.isfinite(val):
-            raise ObjectiveError(
-                f"objective returned non-finite value {val} at {pt.tolist()}", history
-            )
-        history.append((pt.copy(), val))
-        return val
+        record(pt, val)
 
     design = qmc.LatinHypercube(cfg.dim, seed=cfg.seed)
     init_pts = cfg.lo + design.random(cfg.initial_design) * (cfg.hi - cfg.lo)
-    for pt in init_pts:
-        evaluate(pt)
+    evaluate_many = getattr(objective, "evaluate_many", None)
+    if evaluate_many is None:
+        for pt in init_pts:
+            evaluate(pt)
+    else:  # the whole design in one batch
+        try:
+            values = np.asarray(evaluate_many(init_pts), float).reshape(len(init_pts))
+        except Exception as exc:
+            raise ObjectiveError(
+                f"objective evaluation failed on the initial design: {exc}", history
+            ) from exc
+        for pt, val in zip(init_pts, values):
+            record(pt, float(val))
 
     for iteration in range(cfg.initial_design, cfg.budget):
         x_obs = np.array([p for p, _ in history])

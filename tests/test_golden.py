@@ -1,5 +1,5 @@
-"""Golden fingerprints: exact replication statistics and per-replication
-profit hashes for fixed seeds.
+"""Golden fingerprints: exact replication statistics, per-replication
+profit hashes and optimizer-history hashes for fixed seeds.
 
 They pin the per-replication RNG layout and the engine's arithmetic, so a
 refactor of the engine or of the streams that changes any run's outcome, or
@@ -12,6 +12,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from invopt import gpbo
+from invopt.gpbo import BoConfig, ConditioningFn, bo_run
 from invopt.objectives import ProfitObjective
 from invopt.sensitivity import SensitivityRow, SensitivitySpec, sensitivity_resim
 from invopt.simengine import (
@@ -167,3 +169,73 @@ def test_sensitivity_resim_golden(catalog):
         row(-0.05, "PrC", 168000.51789954334, 9124.654536655664, 0.004315039176863023, 314.0),
         row(-0.05, "PrD", 351480.4639269406, 37038.82091253958, 5.192107995846314e-06, 345.0),
     ]
+
+
+# --- optimizer trajectories -------------------------------------------------
+#
+# Each run's full-precision history (every point and value, in order) is
+# hashed.  They pin the Latin-hypercube design, every GP fit and every
+# acquisition proposal, so a change to the posterior or acquisition arithmetic
+# that moves any proposal by one bit fails here.
+
+BOX = ((1.0, 5000.0),) * 4
+BUMP = ConditioningFn(alpha=40000.0, centers=((1500.0, 20000.0, 2500.0, 1200.0),),
+                      widths=(1500.0,), weights=(1.0,))
+
+
+def history_digest(result):
+    rows = np.array([[*point, value] for point, value in result.history])
+    return hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest()
+
+
+def profit_run(catalog, mode="rq", budget=24, acquisition="ei", conditioning=None):
+    objective = ProfitObjective(catalog, SimConfig(horizon=365, replications=25, seed=7), mode)
+    cfg = BoConfig(bounds=BOX, budget=budget, initial_design=12, acquisition=acquisition,
+                   seed=7)
+    return bo_run(objective, cfg, conditioning)
+
+
+def test_bo_run_rq_golden(catalog, monkeypatch):
+    # also pins the L-BFGS-B work of the proposals: same runs, same evaluations
+    minimize, propose, proposing, nfev = gpbo.minimize, gpbo.propose_next, [], []
+
+    def counted_minimize(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        if proposing:
+            nfev.append(result.nfev)
+        return result
+
+    def flagged_propose(*args, **kwargs):
+        proposing.append(True)
+        try:
+            return propose(*args, **kwargs)
+        finally:
+            proposing.pop()
+
+    monkeypatch.setattr(gpbo, "minimize", counted_minimize)
+    monkeypatch.setattr(gpbo, "propose_next", flagged_propose)
+    result = profit_run(catalog)
+    assert history_digest(result) == (
+        "aab003d774a4a1c8ce5c437b410ae06962ab33ac339e5708769b27380724886c")
+    assert (len(nfev), sum(nfev)) == (96, 19210)
+
+
+@pytest.mark.parametrize("run, digest", [
+    pytest.param(lambda c: profit_run(c, mode="oup", budget=16),
+                 "3d78473f56a645def69c796b46fc851f4ac0bebf4ecc56c7a2316696e095b2bf", id="oup"),
+    pytest.param(lambda c: profit_run(c, budget=16, acquisition="pi"),
+                 "6139b3ece6e10a50d128e68a9ee9de84eea933afae025545f3e78a5ecd4c4a61", id="pi"),
+    pytest.param(lambda c: profit_run(c, budget=16, conditioning=BUMP),
+                 "a4805cab063903363893f56bd36d2f9f15ea0f1619532f377985e9cc8396c379",
+                 id="conditioning"),
+])
+def test_bo_run_profit_golden(catalog, run, digest):
+    assert history_digest(run(catalog)) == digest
+
+
+def test_bo_run_minimize_1d_golden():
+    cfg = BoConfig(bounds=((0.0, 1.0),), budget=14, initial_design=4, seed=3)
+    result = bo_run(lambda x: float((x[0] - 0.3) ** 2 + 0.1 * np.sin(20 * x[0])), cfg,
+                    direction="minimize")
+    assert history_digest(result) == (
+        "89fbd9b51ada42bf8392defc8b2b192f3daf2952a3c9960172ddb841cd62a7ec")

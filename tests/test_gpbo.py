@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from invopt.errors import ConfigError, DomainError, NumericalError
-from invopt import gpbo
+from invopt import gpbo, objectives
 from invopt.gpbo import (
     LENGTH_SCALE_BOUNDS,
     BoConfig,
@@ -23,6 +23,10 @@ from invopt.gpbo import (
     probability_of_improvement,
     propose_next,
 )
+from invopt.objectives import ProfitObjective
+from invopt.simengine import SimConfig
+
+from conftest import count_engine_calls
 
 
 def dense_posterior(x_query, x_train, y_train, kernel, noise, prior_mean=0.0, kappa=None):
@@ -203,6 +207,19 @@ class TestGpFit:
         with pytest.raises(DomainError):
             gp_fit(np.array([[0.0]]), np.array([1.0]))
 
+    def test_nan_target_rejected(self):
+        x = np.linspace(0, 1, 6)[:, None]
+        y = np.arange(6.0)
+        y[2] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            gp_fit(x, y)
+
+    def test_infinite_input_rejected(self):
+        x = np.linspace(0, 1, 6)[:, None]
+        x[3, 0] = np.inf
+        with pytest.raises(NumericalError, match="non-finite"):
+            gp_fit(x, np.arange(6.0), input_bounds=[(0.0, 1.0)])
+
     def test_hyper_bounds_respected(self):
         # white noise has no length scale of its own, yet the fit must keep one
         # inside the search box (on the unit box the two scales coincide)
@@ -320,6 +337,15 @@ class TestExpectedImprovement:
         grid = np.linspace(-0.5, 1.5, 100)[:, None]
         pi = np.asarray(probability_of_improvement(model, grid, float(y.max())))
         assert np.all(pi >= 0) and np.all(pi <= 1)
+
+
+    @pytest.mark.parametrize("acquisition", [expected_improvement, probability_of_improvement])
+    @pytest.mark.parametrize("x", [np.zeros(2), np.zeros((3, 2)), np.zeros((1, 0))])
+    def test_wrong_dimension_rejected(self, acquisition, x):
+        model = GpModel.build(np.array([[0.1], [0.6]]), np.array([0.0, 1.0]),
+                              Kernel(1.0, (0.3,)), 0.01)
+        with pytest.raises(DomainError):
+            acquisition(model, x, 1.0)
 
 
 class TestProposeNext:
@@ -440,6 +466,66 @@ class TestBoRun:
         with pytest.raises(ObjectiveError) as err:
             bo_run(objective, cfg)
         assert len(err.value.history) == 3
+
+    def test_design_evaluated_in_one_batch(self):
+        batches = []
+
+        class Objective:
+            def __call__(self, x):
+                batches.append(1)
+                return -float((x[0] - 0.3) ** 2)
+
+            def evaluate_many(self, x):
+                batches.append(len(x))
+                return -(x[:, 0] - 0.3) ** 2
+
+        cfg = BoConfig(bounds=((0.0, 1.0),), budget=7, initial_design=5, seed=2)
+        batched = bo_run(Objective(), cfg)
+        assert batches == [5, 1, 1]
+        looped = bo_run(lambda x: -float((x[0] - 0.3) ** 2), cfg)
+        for (xa, ya), (xb, yb) in zip(batched.history, looped.history, strict=True):
+            np.testing.assert_array_equal(xa, xb)
+            assert ya == yb
+
+    def test_design_batch_checks_each_value(self):
+        class Objective:
+            def __call__(self, x):
+                return float(x[0])
+
+            def evaluate_many(self, x):
+                values = x[:, 0].copy()
+                values[2] = np.inf
+                return values
+
+        cfg = BoConfig(bounds=((0.0, 1.0),), budget=6, initial_design=4, seed=9)
+        with pytest.raises(ObjectiveError, match="non-finite value inf") as err:
+            bo_run(Objective(), cfg)
+        assert len(err.value.history) == 2
+
+    def test_design_batch_failure(self):
+        class Objective:
+            def __call__(self, x):
+                return float(x[0])
+
+            def evaluate_many(self, x):
+                raise RuntimeError("simulator exploded")
+
+        cfg = BoConfig(bounds=((0.0, 1.0),), budget=6, initial_design=4, seed=9)
+        with pytest.raises(ObjectiveError, match="initial design") as err:
+            bo_run(Objective(), cfg)
+        assert err.value.history == []
+        assert isinstance(err.value.__cause__, RuntimeError)
+
+    def test_profit_design_one_engine_call(self, catalog, monkeypatch):
+        # the batched design gives each point the value a call of its own gives
+        objective = ProfitObjective(catalog, SimConfig(horizon=365, replications=5, seed=3),
+                                    "rq")
+        cfg = BoConfig(bounds=((1.0, 5000.0),) * 4, budget=10, initial_design=8, seed=3)
+        calls = count_engine_calls(monkeypatch, objectives)
+        result = bo_run(objective, cfg)
+        assert calls == [8 * 4 * 5, 4 * 5, 4 * 5]
+        for point, value in result.history[:8]:
+            assert objective(point) == value
 
     def test_conditioning_biases_search(self):
         # bump prior at the optimum should not hurt convergence
