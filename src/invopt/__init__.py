@@ -77,13 +77,11 @@ from .simengine import (
     DayRecord,
     PeriodicReview,
     PolicyComparison,
-    ProfitLedger,
     ReplicationStats,
     RunSamples,
     SimConfig,
     compare_policies,
     demand_model,
-    mc_estimate,
     replicate,
     replication_samples,
     simulate_cases,
@@ -100,6 +98,4 @@ from .stochastic import (
     demand_series,
     fit_lognormal,
     lead_time_series,
-    sample_daily_demand,
-    sample_lead_time,
 )

@@ -45,7 +45,7 @@ from .simengine import (
     simulate_once,
     sweep_oup,
 )
-from .stochastic import RNG_ALGORITHM, RngStream
+from .stochastic import RNG_ALGORITHM
 
 
 @dataclass(frozen=True)
@@ -212,8 +212,12 @@ def _whole(value) -> int:
 
 def _load_params(path: str, policy: str) -> dict:
     raw = _load_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object of per-product params")
     params = {}
     for name, fields in raw.items():
+        if not isinstance(fields, dict):
+            raise ConfigError(f"{path}: product {name!r}: expected a JSON object of fields")
         try:
             if policy == "pq":
                 params[name] = PeriodicReview(
@@ -313,8 +317,7 @@ def _cmd_simulate(args) -> int:
             f"{stats.fill_rate:.4f},{stats.mean_orders_placed:.2f},{stats.n}"
         )
         if args.emit_trajectory:
-            records, _ = simulate_once(product, demand, policy, cfg, RngStream(cfg.seed, 0))
-            for rec in records:
+            for rec in simulate_once(product, demand, policy, cfg).records:
                 trajectory_lines.append(
                     f"{product.name},{rec.day},{rec.demand},{rec.sold},{rec.unmet},"
                     f"{rec.on_hand_end},{rec.on_order},{rec.order_placed},{rec.receipt}"
@@ -419,6 +422,10 @@ def _cmd_optimize(args) -> int:
             raise ConfigError(f"{args.conditioning}: missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{args.conditioning}: {exc}") from None
+        for i, center in enumerate(conditioning.centers):
+            if len(center) != objective.dim:
+                raise ConfigError(f"{args.conditioning}: center {i} has {len(center)} "
+                                  f"coordinates for {objective.dim} products")
     cfg = BoConfig(bounds=bounds, budget=args.budget, initial_design=args.initial_design,
                    acquisition=args.acquisition, seed=args.seed)
     result = bo_run(objective, cfg, conditioning)
@@ -452,20 +459,16 @@ def _cmd_sensitivity(args) -> int:
         raise ConfigError(f"--deltas must be comma-separated numbers, got {args.deltas!r}") from None
     policies = catalog_policies(catalog, params, args.params)
 
-    rows = []
+    specs = [SensitivitySpec(variable, deltas) for variable in variables]
     if args.mode == "resim":
-        for variable in variables:
-            spec = SensitivitySpec(variable, deltas)
-            rows.extend(sensitivity_resim(catalog, params, cfg, spec))
+        rows = sensitivity_resim(catalog, params, cfg, *specs)
     else:
         cases = [(p, demand_model(p), policy) for p, policy in zip(catalog, policies)]
         baseline = {
             p.name: BaselineOutputs.from_stats(runs.stats(), policy_safety_stock(p, policy))
             for (p, _, policy), runs in zip(cases, simulate_cases(cases, cfg).split(len(cases)))
         }
-        for variable in variables:
-            spec = SensitivitySpec(variable, deltas)
-            rows.extend(sensitivity_linear(baseline, spec))
+        rows = sensitivity_linear(baseline, *specs)
 
     lines = ["variable,delta,product,profit,profit_std,lost_orders,safety_stock,needs_resim"]
     for row in rows:

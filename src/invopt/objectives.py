@@ -39,7 +39,6 @@ class ProfitObjective:
     catalog: Catalog
     cfg: SimConfig
     mode: str
-    review_period: int = DEFAULT_REVIEW_PERIOD
 
     def __post_init__(self) -> None:
         if self.mode not in ("rq", "oup", "pq"):
@@ -71,13 +70,8 @@ class ProfitObjective:
     def _policy(self, product: ProductSpec, level: int) -> PolicyParams:
         if self.mode == "rq":
             return ContinuousReview(max(int(round(product.lead_time_demand)), 1), level)
-        return PeriodicReview(self.review_period, level)
+        return PeriodicReview(DEFAULT_REVIEW_PERIOD, level)
 
 
-def policy_profit_objective(
-    catalog: Catalog,
-    cfg: SimConfig,
-    mode: str,
-    review_period: int = DEFAULT_REVIEW_PERIOD,
-) -> ProfitObjective:
-    return ProfitObjective(catalog, cfg, mode, review_period)
+def policy_profit_objective(catalog: Catalog, cfg: SimConfig, mode: str) -> ProfitObjective:
+    return ProfitObjective(catalog, cfg, mode)

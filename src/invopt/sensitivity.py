@@ -10,12 +10,15 @@ Two modes:
   and rerun the replications under the baseline seed (common random
   numbers), so a zero delta reproduces the baseline bit-exactly.
 
-Emitted rows cover every (delta, product) pair in a fixed order: variable,
-then delta, then product.
+Both modes take any number of specs; resimulation runs every (variable,
+delta, product) case in one engine call.  Emitted rows cover every
+(delta, product) pair of every spec in a fixed order: variable, then delta,
+then product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -53,6 +56,8 @@ class SensitivitySpec:
             )
         if not self.deltas:
             raise ConfigError("deltas must not be empty")
+        if not all(math.isfinite(d) for d in self.deltas):
+            raise ConfigError("every delta must be finite")
         if any(d <= -1.0 for d in self.deltas):
             raise ConfigError("every delta must be > -1")
 
@@ -96,29 +101,27 @@ def policy_safety_stock(product: ProductSpec, policy: PolicyParams) -> float:
 
 
 def sensitivity_linear(
-    baseline: Mapping[str, BaselineOutputs], spec: SensitivitySpec
+    baseline: Mapping[str, BaselineOutputs], *specs: SensitivitySpec
 ) -> list[SensitivityRow]:
     """Scale baseline outputs by (1 + delta) under the linearity assumption."""
     rows = []
-    scale_profit = spec.variable not in NONLINEAR_OUTPUTS
-    scale_safety = spec.variable == "safety_stock"
-    for delta in spec.deltas:
-        for name in baseline:
-            base = baseline[name]
-            marked = list(NONLINEAR_OUTPUTS)
-            if not scale_profit:
-                marked.append("profit")
-            rows.append(SensitivityRow(
-                variable=spec.variable,
-                delta=delta,
-                product=name,
-                profit=base.profit * (1.0 + delta) if scale_profit else base.profit,
-                profit_std=base.profit_std,
-                lost_orders=base.lost_orders,
-                safety_stock=base.safety_stock * (1.0 + delta) if scale_safety
-                else base.safety_stock,
-                needs_resim=tuple(marked),
-            ))
+    for spec in specs:
+        scale_profit = spec.variable not in NONLINEAR_OUTPUTS
+        scale_safety = spec.variable == "safety_stock"
+        marked = NONLINEAR_OUTPUTS if scale_profit else (*NONLINEAR_OUTPUTS, "profit")
+        for delta in spec.deltas:
+            for name, base in baseline.items():
+                rows.append(SensitivityRow(
+                    variable=spec.variable,
+                    delta=delta,
+                    product=name,
+                    profit=base.profit * (1.0 + delta) if scale_profit else base.profit,
+                    profit_std=base.profit_std,
+                    lost_orders=base.lost_orders,
+                    safety_stock=base.safety_stock * (1.0 + delta) if scale_safety
+                    else base.safety_stock,
+                    needs_resim=marked,
+                ))
     return rows
 
 
@@ -151,25 +154,30 @@ def sensitivity_resim(
     catalog: Catalog,
     params: Mapping[str, PolicyParams],
     cfg: SimConfig,
-    spec: SensitivitySpec,
+    *specs: SensitivitySpec,
 ) -> list[SensitivityRow]:
-    """Rerun the replications with the perturbed variable under the
-    baseline seed; rows carry the simulated outputs."""
-    if spec.variable not in POLICY_VARIABLES:
-        raise ConfigError(
-            f"variable {spec.variable!r} is not resimulatable; "
-            f"choose one of {', '.join(POLICY_VARIABLES)}"
-        )
+    """Rerun the replications with each spec's variable perturbed, all in one
+    engine call under the baseline seed; rows carry the simulated outputs."""
+    for spec in specs:
+        if spec.variable not in POLICY_VARIABLES:
+            raise ConfigError(
+                f"variable {spec.variable!r} is not resimulatable; "
+                f"choose one of {', '.join(POLICY_VARIABLES)}"
+            )
     policies = catalog_policies(catalog, params)
-    perturbed = [(delta, product, _perturb(policy, spec.variable, delta, product.name))
-                 for delta in spec.deltas for product, policy in zip(catalog, policies)]
+    perturbed = [(spec.variable, delta, product,
+                  _perturb(policy, spec.variable, delta, product.name))
+                 for spec in specs for delta in spec.deltas
+                 for product, policy in zip(catalog, policies)]
+    if not perturbed:
+        return []
     runs = simulate_cases([(product, demand_model(product), policy)
-                           for _, product, policy in perturbed], cfg).split(len(perturbed))
+                           for _, _, product, policy in perturbed], cfg).split(len(perturbed))
     rows = []
-    for (delta, product, policy), part in zip(perturbed, runs):
+    for (variable, delta, product, policy), part in zip(perturbed, runs):
         stats = part.stats()
         rows.append(SensitivityRow(
-            variable=spec.variable,
+            variable=variable,
             delta=delta,
             product=product.name,
             profit=stats.mean_profit,

@@ -32,13 +32,17 @@ share a replication id read the same uniforms (common random numbers), so
 sweep levels and compared policies differ without sampling noise between
 them, and the products of a catalog see comonotone demand within a
 replication.
+
+``simulate_once(product, demand, policy, cfg, replication=0)`` is the
+one-run batch: replication ``replication`` under ``cfg.seed``, returned as a
+``RunSamples`` of length 1 with the day trajectory in ``records``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -129,15 +133,6 @@ class DayRecord:
     on_order: int
     order_placed: int   # quantity ordered today, 0 if none
     receipt: int        # quantity received at the start of the day
-
-
-@dataclass(frozen=True)
-class ProfitLedger:
-    revenue: float
-    product_costs: float
-    ordering_costs: float
-    holding_costs: float
-    annual_profit: float
 
 
 @dataclass(frozen=True)
@@ -235,7 +230,6 @@ def _batch_over_reps(
     case_idx: np.ndarray,
     rep_ids: np.ndarray,
     record: bool = False,
-    stream_path: tuple[int, ...] = (),
 ) -> RunSamples:
     """Advance one run per (case_idx[i], rep_ids[i]) in lockstep for cfg.horizon days.
 
@@ -266,7 +260,7 @@ def _batch_over_reps(
         pairs, run_row = np.unique(model_of_run * len(unique_ids) + id_row, return_inverse=True)
         distinct, rows = list(index), np.empty((horizon, len(pairs)), np.int64)
         for col, (model, row) in enumerate(zip(*np.divmod(pairs, len(unique_ids)))):
-            stream = RngStream(cfg.seed, int(unique_ids[row]), (*stream_path, lane))
+            stream = RngStream(cfg.seed, int(unique_ids[row]), (lane,))
             rows[:, col] = series(distinct[model], stream, horizon)
         return rows, run_row
 
@@ -371,19 +365,15 @@ def simulate_once(
     demand: DemandModel,
     policy: PolicyParams,
     cfg: SimConfig,
-    rng: RngStream,
-) -> tuple[list[DayRecord], ProfitLedger]:
-    """One run over cfg.horizon days; returns the day trajectory and ledger.
+    replication: int = 0,
+) -> RunSamples:
+    """One run, replication `replication` under cfg.seed, with its day trajectory.
 
-    The run draws demand from rng.derive(DEMAND_LANE) and per-order lead
-    times from rng.derive(LEAD_LANE).
+    Returns a one-run ``RunSamples`` whose ``records`` hold the trajectory; the
+    run equals run `replication` of any batch of the same case and seed.
+    cfg.replications is not read.
     """
-    one = replace(cfg, replications=1, seed=rng.seed)
-    run = _batch_over_reps([(product, demand, policy)], one, np.zeros(1, np.int64),
-                           np.array([rng.stream_id]), record=True, stream_path=rng.path)
-    ledger = ProfitLedger(*(float(v[0]) for v in (
-        run.revenue, run.product_costs, run.ordering_costs, run.holding_costs, run.profit)))
-    return list(run.records), ledger
+    return _batch_over_reps([(product, demand, policy)], cfg, [0], [replication], record=True)
 
 
 def simulate_cases(cases: Sequence[Case], cfg: SimConfig) -> RunSamples:
@@ -469,14 +459,3 @@ def compare_policies(
     total_rq = sum(s.mean_profit for _, s in per_product.values())
     rel = (total_rq - total_pq) / total_pq if total_pq != 0 else math.inf
     return PolicyComparison(per_product, total_pq, total_rq, rel)
-
-
-def mc_estimate(samples: Iterable[float]) -> tuple[float, float]:
-    """Sample mean and its standard error, std(ddof=1)/sqrt(n)."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size == 0:
-        raise DomainError("mc_estimate requires a non-empty sample")
-    mean = float(arr.mean())
-    if arr.size == 1:
-        return mean, 0.0
-    return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))

@@ -8,16 +8,13 @@ nearest integer unit.  Lead times are either deterministic or a two-point
 
 Draw-count contract
 -------------------
-Replication layouts must stay stable across code paths, so every sampler
-consumes a fixed number of uniforms per call:
+Replication layouts must stay stable across code paths, so each series
+function consumes a fixed number of uniforms per value:
 
-* ``sample_daily_demand``: 2 uniforms per day (occurrence, size) — the size
+* ``demand_series``: 2 uniforms per day (occurrence, size) — the size
   uniform is consumed even on no-order days.
-* ``sample_lead_time``: 1 uniform per order — consumed even in Deterministic
-  mode, where its value is ignored.
-
-The batch variants (``demand_series``, ``lead_time_series``) consume the
-identical uniform sequence, so batch and scalar sampling are bit-equal.
+* ``lead_time_series``: 1 uniform per order — consumed even in
+  Deterministic mode, where its value is ignored.
 
 Streams are backed by the counter-based Philox generator (period >= 2^128
 per stream); ``RNG_ALGORITHM`` names it for run manifests.
@@ -37,10 +34,10 @@ RNG_ALGORITHM = "philox4x64"
 
 
 class RngStream:
-    """Deterministic random stream addressed by (seed, stream_id).
+    """Deterministic random stream addressed by (seed, stream_id, path).
 
     Two streams built with the same address produce bit-identical draws;
-    distinct stream_ids (or derived lanes) are statistically independent.
+    distinct stream_ids or paths are statistically independent.
     A stream is single-owner: it holds generator state, so two consumers
     drawing from one stream would interleave (and perturb) each other's draws.
     """
@@ -53,10 +50,6 @@ class RngStream:
         self.path = tuple(int(p) for p in path)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id, *self.path))
         self._gen = np.random.Generator(np.random.Philox(ss))
-
-    def derive(self, lane: int) -> "RngStream":
-        """Fresh independent stream for a sub-purpose of this one."""
-        return RngStream(self.seed, self.stream_id, (*self.path, lane))
 
     def uniform(self, n: int | None = None):
         """Next n uniforms in [0, 1) (a scalar when n is None)."""
@@ -170,19 +163,9 @@ def demand_series(model: DemandModel, rng: RngStream, n: int) -> np.ndarray:
     return np.where(occurs, size, 0.0).astype(np.int64)
 
 
-def sample_daily_demand(model: DemandModel, rng: RngStream) -> int:
-    """One day of demand; consumes exactly 2 uniforms."""
-    return int(demand_series(model, rng, 1)[0])
-
-
 def lead_time_series(model: LeadTimeModel, rng: RngStream, n: int) -> np.ndarray:
     """n lead times in integer days; consumes exactly n uniforms."""
     u = rng.uniform(n)
     if isinstance(model.mode, Deterministic):
         return np.full(n, model.nominal, dtype=np.int64)
     return np.where(u < model.mode.p_meet, model.nominal, model.delayed).astype(np.int64)
-
-
-def sample_lead_time(model: LeadTimeModel, rng: RngStream) -> int:
-    """One lead time; consumes exactly 1 uniform (ignored when Deterministic)."""
-    return int(lead_time_series(model, rng, 1)[0])

@@ -37,7 +37,7 @@ from invopt.simengine import (
     simulate_once,
     sweep_oup,
 )
-from invopt.stochastic import DemandModel, RngStream
+from invopt.stochastic import DemandModel
 
 from conftest import make_products
 
@@ -151,15 +151,12 @@ def test_criterion_3_oup_sweep_shape():
 def test_criterion_4_order_count_reproduction():
     with criterion(4, "order counts: 12 periodic reviews, 13±2 continuous"):
         cfg = SimConfig(horizon=365, replications=1, seed=42)
-        records, _ = simulate_once(
-            PRA, demand_for(PRA), PeriodicReview(30, 2_071), cfg, RngStream(42, 0)
-        )
+        records = simulate_once(PRA, demand_for(PRA), PeriodicReview(30, 2_071), cfg).records
         assert sum(1 for r in records if r.order_placed > 0) == 12
         for seed in range(100):
             cfg = SimConfig(horizon=365, replications=1, seed=seed)
-            records, _ = simulate_once(
-                PRA, demand_for(PRA), ContinuousReview(812, 2_002), cfg, RngStream(seed, 0)
-            )
+            records = simulate_once(
+                PRA, demand_for(PRA), ContinuousReview(812, 2_002), cfg).records
             count = sum(1 for r in records if r.order_placed > 0)
             assert 11 <= count <= 15
 
@@ -302,12 +299,12 @@ def test_criterion_9_simulation_invariant_suite():
         for _ in range(250):
             product, model, policy, cfg = _random_invariant_case(rng)
             for stream_id in range(4):
-                records, ledger = simulate_once(
-                    product, model, policy, cfg, RngStream(cfg.seed, stream_id))
+                run = simulate_once(product, model, policy, cfg, stream_id)
+                records = run.records
                 # exact ledger identity
-                assert ledger.annual_profit == (
-                    ledger.revenue - ledger.product_costs
-                    - ledger.ordering_costs - ledger.holding_costs
+                assert run.profit[0] == (
+                    run.revenue[0] - run.product_costs[0]
+                    - run.ordering_costs[0] - run.holding_costs[0]
                 )
                 # demand split, day by day
                 assert all(r.sold + r.unmet == r.demand for r in records)

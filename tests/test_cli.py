@@ -207,6 +207,18 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("config:")
 
+    @pytest.mark.parametrize("content", [[1, 2], "PrA", {"PrA": 5}, {"PrA": [870, 1440]}])
+    def test_non_object_params_rejected(self, capsys, tmp_path, table1_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        for policy in ("pq", "rq"):
+            code, out, err = run_cli(capsys, "--catalog", table1_path, "simulate",
+                                     "--policy", policy, "--params", str(bad),
+                                     "--replications", "2")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("config:") and "JSON object" in err
+
     def test_params_above_cap_rejected(self, capsys, tmp_path, table1_path):
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps({"PrA": {"reorder_point": 2**62, "order_quantity": 2**62}}))
@@ -254,6 +266,16 @@ class TestCompareCommand:
         total_rq = float(lines[1].split(",")[2])
         rel = float(lines[2].split(",")[2])
         assert rel == pytest.approx((total_rq - total_pq) / total_pq, abs=1e-3)
+
+    def test_non_object_params_rejected(self, capsys, tmp_path, table1_path, rq_params_file):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([1, 2]))
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "compare",
+                                 "--pq-params", str(bad), "--rq-params", rq_params_file,
+                                 "--replications", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config:") and "JSON object" in err
 
 
 class TestOptimizeCommand:
@@ -336,6 +358,10 @@ class TestOptimizeInputs:
         ([1.0], "config:"),
         ({"alpha": "high"}, "config:"),
         ({"alpha": 1.0, "centers": [[1, 2, 3, 4]], "widths": [1.0]}, "equal length"),
+        ({"alpha": 1.0, "centers": [[1, 2]], "widths": [1.0], "weights": [1.0]},
+         "center 0 has 2 coordinates for 4 products"),
+        ({"alpha": 1.0, "centers": [[1, 2, 3, 4], [1, 2, 3, 4, 5]], "widths": [1.0, 1.0],
+          "weights": [1.0, 1.0]}, "center 1 has 5 coordinates"),
     ])
     def test_malformed_conditioning_rejected(self, capsys, tmp_path, table1_path,
                                              content, message):
@@ -378,14 +404,18 @@ class TestSensitivityCommand:
                              "--deltas", "0.1,-0.05,0.2", "--replications", "3",
                              "--horizon", "30")
         assert code == 0
-        assert calls == [3 * 4 * 3, 3 * 4 * 3]  # reorder_point, order_quantity
+        assert calls == [2 * 3 * 4 * 3]  # variables x deltas x products x replications
 
     def test_bad_deltas(self, capsys, table1_path, pq_params_file):
-        code, _, err = run_cli(capsys, "--catalog", table1_path, "sensitivity",
-                               "--mode", "linear", "--policy", "pq",
-                               "--params", pq_params_file, "--deltas", "ten-percent")
-        assert code == 2
-        assert err.startswith("config:")
+        for mode in ("linear", "resim"):
+            for deltas in ("ten-percent", "nan", "inf", "0.1,-inf"):
+                code, out, err = run_cli(capsys, "--catalog", table1_path, "sensitivity",
+                                         "--mode", mode, "--policy", "pq",
+                                         "--params", pq_params_file, "--deltas", deltas,
+                                         "--replications", "2", "--horizon", "30")
+                assert code == 2, (mode, deltas)
+                assert out == ""
+                assert err.startswith("config:")
 
 
 def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch, table1_path):

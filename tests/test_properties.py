@@ -23,7 +23,7 @@ from invopt.simengine import (
     simulate_cases,
     simulate_once,
 )
-from invopt.stochastic import Deterministic, MeetOrDelay, RngStream
+from invopt.stochastic import Deterministic, MeetOrDelay
 
 from conftest import make_products
 
@@ -78,8 +78,7 @@ def test_engine_conserves_units(cases, cfg):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(product=products, policy=policies, cfg=configs)
 def test_daily_trajectory_is_nonnegative_and_balanced(product, policy, cfg):
-    records, _ = simulate_once(product, demand_model(product), policy, cfg,
-                               RngStream(cfg.seed, 0))
+    records = simulate_once(product, demand_model(product), policy, cfg).records
     run = simulate_cases([(product, demand_model(product), policy)], cfg)
 
     assert [r.day for r in records] == list(range(1, cfg.horizon + 1))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from invopt import simengine
 from invopt.catalog import Catalog
 from invopt.errors import ConfigError
 from invopt.sensitivity import (
@@ -12,6 +13,8 @@ from invopt.sensitivity import (
 )
 from invopt.simengine import ContinuousReview, PeriodicReview, SimConfig, replicate
 from invopt.stochastic import DemandModel
+
+from conftest import count_engine_calls
 
 
 def demand_for(product):
@@ -86,6 +89,17 @@ class TestLinearMode:
             SensitivitySpec("oup", ())
         with pytest.raises(ConfigError):
             SensitivitySpec("oup", (-1.0,))
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                SensitivitySpec("oup", (0.1, bad))
+
+
+    def test_several_specs_concatenate(self, baseline):
+        specs = (SensitivitySpec("oup", (0.1, -0.05)), SensitivitySpec("profit_std", (0.2,)),
+                 SensitivitySpec("safety_stock", (0.3,)))
+        rows = sensitivity_linear(baseline, *specs)
+        assert rows == [row for spec in specs for row in sensitivity_linear(baseline, spec)]
+        assert sensitivity_linear(baseline) == []
 
 
 class TestResimMode:
@@ -156,6 +170,18 @@ class TestResimMode:
                 catalog, {"PrA": PeriodicReview(30, 2000)}, cfg,
                 SensitivitySpec("oup", (0.1,)),
             )
+
+    def test_several_specs_in_one_engine_call(self, catalog, monkeypatch):
+        cfg = SimConfig(horizon=90, replications=5, seed=13)
+        params = {p.name: ContinuousReview(900, 1700) for p in catalog}
+        specs = (SensitivitySpec("reorder_point", (0.1, -0.05)),
+                 SensitivitySpec("order_quantity", (0.2,)))
+        one_at_a_time = [row for spec in specs
+                         for row in sensitivity_resim(catalog, params, cfg, spec)]
+        calls = count_engine_calls(monkeypatch, simengine)
+        assert sensitivity_resim(catalog, params, cfg, *specs) == one_at_a_time
+        assert calls == [3 * len(catalog) * 5]
+        assert sensitivity_resim(catalog, params, cfg) == []
 
     def test_linear_only_variable_rejected_in_resim(self, catalog):
         cfg = SimConfig(horizon=30, replications=2, seed=12)

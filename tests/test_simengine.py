@@ -17,7 +17,6 @@ from invopt.simengine import (
     catalog_policies,
     compare_policies,
     demand_model,
-    mc_estimate,
     replicate,
     replication_samples,
     simulate_cases,
@@ -26,7 +25,7 @@ from invopt.simengine import (
 )
 from invopt import objectives, simengine
 from invopt.objectives import ProfitObjective
-from invopt.stochastic import DemandModel, MeetOrDelay, RngStream
+from invopt.stochastic import DemandModel, MeetOrDelay
 
 from conftest import count_engine_calls
 
@@ -46,51 +45,49 @@ def run_once(product, policy, cfg, stream_id=0, model=None):
     model = model or DemandModel.from_moments(
         product.order_probability, product.daily_order_size_mean, product.daily_order_size_std
     )
-    return simulate_once(product, model, policy, cfg, RngStream(cfg.seed, stream_id))
+    return simulate_once(product, model, policy, cfg, stream_id)
 
 
 class TestSimulateOnce:
     def test_no_demand_flat_stock(self, pra):
         model = DemandModel.from_moments(0.0, 100.0, 10.0)
         cfg = small_cfg()
-        records, ledger = simulate_once(
-            pra, model, ContinuousReview(100, 500), cfg, RngStream(1, 0)
-        )
-        assert all(r.demand == 0 and r.order_placed == 0 for r in records)
-        assert ledger.revenue == 0.0
-        assert ledger.ordering_costs == 0.0
+        run = simulate_once(pra, model, ContinuousReview(100, 500), cfg)
+        assert all(r.demand == 0 and r.order_placed == 0 for r in run.records)
+        assert run.revenue[0] == 0.0
+        assert run.ordering_costs[0] == 0.0
         # only holding cost on the untouched starting stock
         expected_holding = 365 * pra.starting_stock * pra.holding_cost / 365
-        assert ledger.holding_costs == pytest.approx(expected_holding)
-        assert ledger.annual_profit == pytest.approx(-expected_holding)
+        assert run.holding_costs[0] == pytest.approx(expected_holding)
+        assert run.profit[0] == pytest.approx(-expected_holding)
 
     def test_periodic_review_places_12_orders(self, pra):
-        records, _ = run_once(pra, PeriodicReview(30, 2071), small_cfg(seed=42))
+        records = run_once(pra, PeriodicReview(30, 2071), small_cfg(seed=42)).records
         assert sum(1 for r in records if r.order_placed > 0) == 12
 
     def test_continuous_review_order_count_band(self, pra):
         counts = []
         for seed in range(100):
-            records, _ = run_once(pra, ContinuousReview(812, 2002), small_cfg(seed=seed))
+            records = run_once(pra, ContinuousReview(812, 2002), small_cfg(seed=seed)).records
             counts.append(sum(1 for r in records if r.order_placed > 0))
         assert all(11 <= c <= 15 for c in counts)
         assert np.mean(counts) == pytest.approx(13, abs=2)
 
     def test_ledger_identity(self, pra):
-        _, ledger = run_once(pra, PeriodicReview(30, 2071), small_cfg())
-        assert ledger.annual_profit == (
-            ledger.revenue - ledger.product_costs - ledger.ordering_costs - ledger.holding_costs
+        run = run_once(pra, PeriodicReview(30, 2071), small_cfg())
+        assert run.profit[0] == (
+            run.revenue[0] - run.product_costs[0] - run.ordering_costs[0] - run.holding_costs[0]
         )
 
     def test_day_records_consistent(self, pra):
-        records, _ = run_once(pra, ContinuousReview(900, 1700), small_cfg())
+        records = run_once(pra, ContinuousReview(900, 1700), small_cfg()).records
         assert [r.day for r in records] == list(range(1, 366))
         for r in records:
             assert r.sold + r.unmet == r.demand
             assert r.on_hand_end >= 0
 
     def test_conservation_lost_sales(self, pra):
-        records, _ = run_once(pra, ContinuousReview(900, 1700), small_cfg())
+        records = run_once(pra, ContinuousReview(900, 1700), small_cfg()).records
         received = sum(r.receipt for r in records)
         sold = sum(r.sold for r in records)
         assert pra.starting_stock + received - sold == records[-1].on_hand_end
@@ -100,9 +97,9 @@ class TestReplicate:
     def test_single_replication_equals_simulate_once(self, pra):
         cfg = small_cfg(replications=1)
         policy = PeriodicReview(30, 2071)
-        _, ledger = run_once(pra, policy, cfg, stream_id=0)
+        run = run_once(pra, policy, cfg, stream_id=0)
         stats = replicate(pra, pra_model(), policy, cfg)
-        assert stats.mean_profit == ledger.annual_profit
+        assert stats.mean_profit == run.profit[0]
         assert stats.profit_std == 0.0
         assert stats.n == 1
 
@@ -141,9 +138,9 @@ class TestBackorderMode:
         cfg = small_cfg(replications=1, unmet_demand=BACKORDER, seed=3)
         lost_cfg = small_cfg(replications=1, seed=3)
         policy = PeriodicReview(30, 2071)
-        _, with_queue = simulate_once(pra, pra_model(), policy, cfg, RngStream(3, 0))
-        _, lost = simulate_once(pra, pra_model(), policy, lost_cfg, RngStream(3, 0))
-        assert with_queue.revenue >= lost.revenue
+        with_queue = simulate_once(pra, pra_model(), policy, cfg)
+        lost = simulate_once(pra, pra_model(), policy, lost_cfg)
+        assert with_queue.revenue[0] >= lost.revenue[0]
 
 
 class TestSweep:
@@ -301,28 +298,6 @@ def test_catalog_policies_in_catalog_order(catalog):
     del params["PrC"]
     with pytest.raises(ConfigError, match="missing.*'PrC'"):
         catalog_policies(catalog, params)
-
-
-class TestMcEstimate:
-    def test_constant_samples(self):
-        assert mc_estimate([3.0, 3.0, 3.0]) == (3.0, 0.0)
-
-    def test_hand_arithmetic(self):
-        mean, se = mc_estimate([1.0, 2.0, 3.0])
-        assert mean == 2.0
-        assert se == pytest.approx(1.0 / np.sqrt(3.0))
-
-    def test_seeded_normal_within_three_stderr(self):
-        draws = np.random.default_rng(42).standard_normal(100_000)
-        mean, se = mc_estimate(draws)
-        assert abs(mean) <= 3 * se
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            mc_estimate([])
-
-    def test_single_sample(self):
-        assert mc_estimate([5.0]) == (5.0, 0.0)
 
 
 class TestPolicyValidation:

@@ -13,8 +13,6 @@ from invopt.stochastic import (
     demand_series,
     fit_lognormal,
     lead_time_series,
-    sample_daily_demand,
-    sample_lead_time,
 )
 
 
@@ -74,9 +72,8 @@ class TestRngStream:
         assert abs(rho) < 0.01
 
     def test_derived_lanes_independent(self):
-        base = RngStream(11, 3)
-        a = base.derive(0).uniform(100_000)
-        b = base.derive(1).uniform(100_000)
+        a = RngStream(11, 3, (0,)).uniform(100_000)
+        b = RngStream(11, 3, (1,)).uniform(100_000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
 
     def test_chunked_draws_match_bulk(self):
@@ -101,19 +98,12 @@ class TestDailyDemand:
         target = 0.76 * 103.50
         assert draws.mean() == pytest.approx(target, rel=0.01)
 
-    def test_scalar_matches_series(self):
-        model = DemandModel.from_moments(0.6, 40.0, 12.0)
-        series = demand_series(model, RngStream(9, 2), 50)
-        stream = RngStream(9, 2)
-        scalars = np.array([sample_daily_demand(model, stream) for _ in range(50)])
-        assert np.array_equal(series, scalars)
-
     def test_consumes_two_uniforms_per_day(self):
         model = DemandModel.from_moments(0.5, 10.0, 2.0)
         s = RngStream(3, 0)
-        sample_daily_demand(model, s)
+        demand_series(model, s, 3)
         ref = RngStream(3, 0)
-        ref.uniform(2)
+        ref.uniform(6)
         assert s.uniform() == ref.uniform()
 
     def test_nonnegative_integer_units(self):
@@ -126,7 +116,7 @@ class TestDailyDemand:
 class TestLeadTime:
     def test_deterministic_nominal(self):
         model = LeadTimeModel(9)
-        assert sample_lead_time(model, RngStream(0, 0)) == 9
+        assert np.all(lead_time_series(model, RngStream(0, 0), 10) == 9)
 
     def test_meet_probability_one(self):
         model = LeadTimeModel(9, MeetOrDelay(p_meet=1.0))
@@ -142,17 +132,10 @@ class TestLeadTime:
     def test_consumes_one_uniform_per_call(self):
         model = LeadTimeModel(9)  # deterministic mode still consumes its draw
         s = RngStream(3, 1)
-        sample_lead_time(model, s)
+        lead_time_series(model, s, 3)
         ref = RngStream(3, 1)
-        ref.uniform()
+        ref.uniform(3)
         assert s.uniform() == ref.uniform()
-
-    def test_scalar_matches_series(self):
-        model = LeadTimeModel(10, MeetOrDelay(p_meet=0.5, delay_factor=2.0))
-        series = lead_time_series(model, RngStream(7, 0), 40)
-        stream = RngStream(7, 0)
-        scalars = np.array([sample_lead_time(model, stream) for _ in range(40)])
-        assert np.array_equal(series, scalars)
 
     def test_nonnegative_integer_days(self):
         model = LeadTimeModel(0, MeetOrDelay(p_meet=0.5, delay_factor=3.0))
