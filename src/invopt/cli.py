@@ -45,7 +45,10 @@ from .simengine import (
     simulate_once,
     sweep_oup,
 )
-from .stochastic import RNG_ALGORITHM
+from .stochastic import (
+    RNG_ALGORITHM,
+    RngStream,  # not used here: perfbench/tracer.py wraps it as cli.RngStream
+)
 
 
 @dataclass(frozen=True)
@@ -449,8 +452,10 @@ def _cmd_sensitivity(args) -> int:
     catalog = _require_catalog(args)
     cfg = _sim_config(args)
     params = _load_params(args.params, args.policy)
-    if args.variables:
+    if args.variables is not None:
         variables = [v.strip() for v in args.variables.split(",") if v.strip()]
+        if not variables:
+            raise ConfigError(f"--variables names no variable: {args.variables!r}")
     else:
         variables = ["oup"] if args.policy == "pq" else ["reorder_point", "order_quantity"]
     try:

@@ -97,11 +97,18 @@ class ConditioningFn:
             raise ConfigError("centers, widths, and weights must have equal length")
         if any(w <= 0 for w in self.widths):
             raise ConfigError("bump widths must be > 0")
+        for i, center in enumerate(self.centers):
+            if len(center) != len(self.centers[0]):
+                raise DomainError(f"center {i} has {len(center)} coordinates, "
+                                  f"center 0 has {len(self.centers[0])}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(x, float))
         if not self.centers:
             return np.zeros(len(pts))
+        if pts.shape[1] != len(self.centers[0]):
+            raise DomainError(f"points have {pts.shape[1]} coordinates, "
+                              f"centers have {len(self.centers[0])}")
         centers = np.asarray(self.centers, float)
         widths = np.asarray(self.widths, float)
         weights = np.asarray(self.weights, float)

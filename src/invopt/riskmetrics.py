@@ -7,6 +7,10 @@ are clamped to [0, 1].
 
 The holding-cost rate and the backorder cost per unit are configuration
 knobs (no catalog column defines them); reports must state the values used.
+The supplier on-time probability ``p_meet`` is the catalog's
+``probability`` column (``ProductSpec.order_probability``), the same value
+that gives the per-day order probability of simulated demand; the catalog
+has no separate supplier column.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ class RiskReport:
     hcr: float                  # holding-cost risk, money/unit
     service_level: float        # stockout risk proxy (lower = riskier)
     spr_rank: int               # 1 = riskiest supplier in the catalog
-    p_meet: float               # supplier on-time probability
+    p_meet: float               # supplier on-time probability (catalog probability)
     ihc: float                  # inventory holding cost, money
     expected_backorders: float  # units
     boc: float                  # expected backorder cost, money

@@ -61,6 +61,13 @@ from .stochastic import (
 DEMAND_LANE = 0
 LEAD_LANE = 1
 
+# Replication ids whose streams are built, drawn and transformed as one block.
+# It bounds the block's uniforms at SAMPLE_CHUNK x 2 x horizon doubles, and
+# keeps the streams alive at once (4 GC-tracked objects each) below the
+# garbage collector's 700-allocation young-generation threshold: with 128 ids
+# every block set off a collection, and a fresh process paid for a full one.
+SAMPLE_CHUNK = 64
+
 LOST_SALES = "lost_sales"
 BACKORDER = "backorder"
 
@@ -236,9 +243,10 @@ def _batch_over_reps(
     A case is a (product, demand model, policy) triple; run i takes its
     economics, starting stock, lead time and policy from case case_idx[i].
     rep_ids address the runs' random streams: runs with the same id read the
-    same demand and lead-time rows (common random numbers).  Demand is
-    sampled once per distinct (demand model, id) and lead times once per
-    distinct (lead time, id), and only when they are random.
+    same demand and lead-time rows (common random numbers).  Each distinct id's
+    demand stream, and its lead-time stream when lead times are random, is
+    built and drawn once; the block transforms turn its uniforms into the row
+    of every distinct demand model (lead time) that a run with that id reads.
     """
     case_idx = np.asarray(case_idx, dtype=np.int64)
     n_runs = len(case_idx)
@@ -254,14 +262,22 @@ def _batch_over_reps(
     unique_ids, id_row = np.unique(np.asarray(rep_ids, np.int64), return_inverse=True)
 
     def sampled_rows(models, lane, series):
-        """Day-major rows, one per distinct (model, replication id), and each run's row."""
+        """Day-major rows, one per distinct (replication id, model) some run reads,
+        and each run's row.  Each distinct id's stream is built and drawn once,
+        SAMPLE_CHUNK ids at a time, whatever the number of models reading it."""
         index: dict = {}
         model_of_run = per_run([index.setdefault(m, len(index)) for m in models])
-        pairs, run_row = np.unique(model_of_run * len(unique_ids) + id_row, return_inverse=True)
-        distinct, rows = list(index), np.empty((horizon, len(pairs)), np.int64)
-        for col, (model, row) in enumerate(zip(*np.divmod(pairs, len(unique_ids)))):
-            stream = RngStream(cfg.seed, int(unique_ids[row]), (lane,))
-            rows[:, col] = series(distinct[model], stream, horizon)
+        distinct = list(index)
+        pairs, run_row = np.unique(id_row * len(distinct) + model_of_run, return_inverse=True)
+        pair_id, pair_model = np.divmod(pairs, len(distinct))
+        rows = np.empty((horizon, len(pairs)), np.int64)
+        for lo in range(0, len(unique_ids), SAMPLE_CHUNK):
+            ids = unique_ids[lo:lo + SAMPLE_CHUNK]
+            c0, c1 = np.searchsorted(pair_id, [lo, lo + len(ids)])
+            used, model_col = np.unique(pair_model[c0:c1], return_inverse=True)
+            block = series([distinct[m] for m in used],
+                           [RngStream(cfg.seed, int(i), (lane,)) for i in ids], horizon)
+            rows[:, c0:c1] = block[model_col, pair_id[c0:c1] - lo].T
         return rows, run_row
 
     demand_by_day, demand_row = sampled_rows([d for _, d, _ in cases], DEMAND_LANE, demand_series)

@@ -417,6 +417,17 @@ class TestSensitivityCommand:
                 assert out == ""
                 assert err.startswith("config:")
 
+    def test_empty_variable_list_rejected(self, capsys, table1_path, pq_params_file):
+        for mode in ("linear", "resim"):
+            for variables in (",", " , ,", "", " "):
+                code, out, err = run_cli(capsys, "--catalog", table1_path, "sensitivity",
+                                         "--mode", mode, "--policy", "pq",
+                                         "--params", pq_params_file, "--variables", variables,
+                                         "--replications", "2", "--horizon", "30")
+                assert code == 2, (mode, variables)
+                assert out == ""
+                assert err.startswith("config:") and "names no variable" in err
+
 
 def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch, table1_path):
     from invopt import cli as cli_module

@@ -156,6 +156,19 @@ class TestGpPosterior:
         xq = rng.uniform(0, 1, size=(20, 1))
         np.testing.assert_allclose(gp_posterior(plain, xq)[0], gp_posterior(empty, xq)[0])
 
+    def test_ragged_conditioning_centers_rejected(self):
+        with pytest.raises(DomainError, match="center 1 has 3 coordinates, center 0 has 2"):
+            ConditioningFn(1.0, ((1, 2), (1, 2, 3)), (1, 1), (1, 1))
+
+    def test_conditioning_query_dimension_checked(self):
+        cond = ConditioningFn(1.0, ((1.0, 2.0),), (1.0,), (1.0,))
+        assert cond(np.array([[1.0, 2.0]]))[0] == pytest.approx(1.0)
+        for points in (np.zeros((4, 3)), np.zeros((1, 1)), np.zeros(3)):
+            with pytest.raises(DomainError, match="centers have 2"):
+                cond(points)
+        # without centers kappa is zero at points of any dimension
+        assert np.array_equal(ConditioningFn(1.0)(np.zeros((2, 5))), np.zeros(2))
+
     def test_duplicate_inputs_rescued_by_jitter(self):
         # singular Gram from exact duplicates: the escalating nugget makes the
         # factorization usable and the posterior lands between the two labels

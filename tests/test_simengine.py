@@ -273,6 +273,59 @@ class TestMixedBatch:
         self.assert_same_runs(shuffled, simulate_cases(cases, cfg), order)
 
 
+class TestStreamsPerCall:
+    """One demand stream per distinct replication id per engine call, and the
+    runs of a batch do not depend on which other ids or models share it."""
+
+    @staticmethod
+    def count_streams(monkeypatch) -> list[tuple]:
+        built = []
+        real = simengine.RngStream
+
+        def counted(seed, stream_id=0, path=()):
+            built.append((seed, stream_id, path))
+            return real(seed, stream_id, path)
+
+        monkeypatch.setattr(simengine, "RngStream", counted)
+        return built
+
+    @pytest.mark.parametrize("lead_time_mode, lanes", [
+        (None, (simengine.DEMAND_LANE,)),
+        (MeetOrDelay(0.6, 1.5), (simengine.DEMAND_LANE, simengine.LEAD_LANE)),
+    ], ids=["deterministic", "meet_or_delay"])
+    def test_one_stream_per_id_and_lane(self, monkeypatch, catalog, lead_time_mode, lanes):
+        n = 2 * simengine.SAMPLE_CHUNK + 7  # three sampling chunks
+        mode = {"lead_time_mode": lead_time_mode} if lead_time_mode else {}
+        cfg = small_cfg(horizon=20, replications=n, **mode)
+        cases = [(p, demand_model(p), policy) for p in catalog
+                 for policy in (PeriodicReview(30, 3000), ContinuousReview(1000, 2000))]
+        built = self.count_streams(monkeypatch)
+        simulate_cases(cases, cfg)
+        assert len({d for _, d, _ in cases}) == len(catalog)
+        assert sorted(built) == sorted((7, i, (lane,)) for lane in lanes for i in range(n))
+
+    @pytest.mark.parametrize("mode", [{}, {"lead_time_mode": MeetOrDelay(0.5, 2.0)}],
+                             ids=["deterministic", "meet_or_delay"])
+    def test_overlapping_id_sets_equal_single_case_runs(self, products, mode):
+        pra, prc = products[0], products[2]
+        cases = [(pra, demand_model(pra), ContinuousReview(870, 1440)),
+                 (prc, demand_model(prc), PeriodicReview(20, 4154)),
+                 (pra, DemandModel.from_moments(0.9, 80.0, 0.0), PeriodicReview(30, 2071))]
+        chunk = simengine.SAMPLE_CHUNK
+        ids = [[0, 3, chunk - 1, chunk, 2 * chunk + 5],
+               [3, 4, chunk, chunk + 1, 3 * chunk],
+               [chunk - 1, 2 * chunk + 5, 3 * chunk, 3 * chunk + 2]]
+        case_idx = np.concatenate([[c] * len(i) for c, i in enumerate(ids)])
+        rep_ids = np.concatenate(ids)
+        cfg = small_cfg(horizon=120, **mode)
+        batch = _batch_over_reps(cases, cfg, case_idx, rep_ids)
+        for run, (c, rep) in enumerate(zip(case_idx, rep_ids)):
+            single = simulate_once(*cases[c], cfg, int(rep))
+            for f in fields(RunSamples):
+                if isinstance(getattr(batch, f.name), np.ndarray):
+                    assert getattr(batch, f.name)[run] == getattr(single, f.name)[0], (f.name, run)
+
+
 class TestEngineCalls:
     """Each command-level entry point makes one engine call."""
 
