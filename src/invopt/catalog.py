@@ -83,7 +83,6 @@ class Catalog:
     """Ordered, validated collection of products."""
 
     products: tuple[ProductSpec, ...]
-    source_path: str = "<memory>"
 
     def __post_init__(self) -> None:
         if not self.products:
@@ -193,7 +192,7 @@ def load_catalog(path: str) -> Catalog:
             products.append(ProductSpec(**kwargs))
     if not products:
         raise ValidationError("empty catalog")
-    return Catalog(tuple(products), source_path=str(path))
+    return Catalog(tuple(products))
 
 
 def write_catalog(catalog: Catalog, path: str) -> None:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,15 +35,16 @@ from .simengine import (
     DEFAULT_REVIEW_PERIOD,
     MAX_POLICY_UNITS,
     ContinuousReview,
+    DayRecord,
     PeriodicReview,
     SimConfig,
-    catalog_policies,
+    catalog_cases,
     compare_policies,
     demand_model,
     replicate,  # not called here: perfbench/tracer.py wraps it as cli.replicate
     replication_samples,
     simulate_cases,
-    simulate_once,
+    simulate_once,  # not called here: perfbench/tracer.py wraps it as cli.simulate_once
     sweep_oup,
 )
 from .stochastic import (
@@ -218,18 +220,18 @@ def _load_params(path: str, policy: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object of per-product params")
     params = {}
-    for name, fields in raw.items():
-        if not isinstance(fields, dict):
+    for name, entry in raw.items():
+        if not isinstance(entry, dict):
             raise ConfigError(f"{path}: product {name!r}: expected a JSON object of fields")
         try:
             if policy == "pq":
                 params[name] = PeriodicReview(
-                    _whole(fields.get("review_period", DEFAULT_REVIEW_PERIOD)),
-                    _whole(fields["order_up_to"]),
+                    _whole(entry.get("review_period", DEFAULT_REVIEW_PERIOD)),
+                    _whole(entry["order_up_to"]),
                 )
             else:
                 params[name] = ContinuousReview(
-                    _whole(fields["reorder_point"]), _whole(fields["order_quantity"])
+                    _whole(entry["reorder_point"]), _whole(entry["order_quantity"])
                 )
         except KeyError as exc:
             raise ConfigError(f"{path}: product {name!r}: missing field {exc}") from None
@@ -251,6 +253,12 @@ def _write(args, manifest: RunManifest, filename: str, body: str) -> None:
 
 def _money(x: float) -> str:
     return f"{x:.2f}"
+
+
+def _stats_cells(stats) -> str:
+    """The mean_profit, profit_std, lost_order_fraction and fill_rate cells of a row."""
+    return (f"{_money(stats.mean_profit)},{_money(stats.profit_std)},"
+            f"{stats.lost_order_fraction:.4f},{stats.fill_rate:.4f}")
 
 
 def _cmd_eoq(args) -> int:
@@ -307,24 +315,18 @@ def _cmd_simulate(args) -> int:
     params = _load_params(args.params, args.policy)
     lines = ["product,policy,mean_profit,profit_std,lost_order_fraction,"
              "fill_rate,mean_orders_placed,replications"]
-    trajectory_lines = ["product,day,demand,sold,unmet,on_hand_end,on_order,"
-                        "order_placed,receipt"]
+    day_fields = [f.name for f in fields(DayRecord)]
+    day_cells = attrgetter(*day_fields)
+    trajectory_lines = [",".join(["product", *day_fields])]
     histogram_lines = ["metric,bin_lo,bin_hi,count"]
-    for product, policy in zip(catalog, catalog_policies(catalog, params, args.params)):
-        demand = demand_model(product)
+    for product, demand, policy in catalog_cases(catalog, params, args.params):
         runs = replication_samples(product, demand, policy, cfg)
         stats = runs.stats()
-        lines.append(
-            f"{product.name},{args.policy},{_money(stats.mean_profit)},"
-            f"{_money(stats.profit_std)},{stats.lost_order_fraction:.4f},"
-            f"{stats.fill_rate:.4f},{stats.mean_orders_placed:.2f},{stats.n}"
-        )
+        lines.append(f"{product.name},{args.policy},{_stats_cells(stats)},"
+                     f"{stats.mean_orders_placed:.2f},{stats.n}")
         if args.emit_trajectory:
-            for rec in simulate_once(product, demand, policy, cfg).records:
-                trajectory_lines.append(
-                    f"{product.name},{rec.day},{rec.demand},{rec.sold},{rec.unmet},"
-                    f"{rec.on_hand_end},{rec.on_order},{rec.order_placed},{rec.receipt}"
-                )
+            trajectory_lines.extend(",".join(map(str, [product.name, *day_cells(rec)]))
+                                    for rec in runs.records)
         if args.emit_histogram:
             for metric, values in (("profit", runs.profit),
                                    ("lost_orders", runs.lost_order_fraction)):
@@ -359,11 +361,7 @@ def _cmd_sweep(args) -> int:
     lines = ["order_up_to,mean_profit,profit_std,lost_order_fraction,fill_rate,"
              "mean_orders_placed"]
     for oup, stats in results:
-        lines.append(
-            f"{oup},{_money(stats.mean_profit)},{_money(stats.profit_std)},"
-            f"{stats.lost_order_fraction:.4f},{stats.fill_rate:.4f},"
-            f"{stats.mean_orders_placed:.2f}"
-        )
+        lines.append(f"{oup},{_stats_cells(stats)},{stats.mean_orders_placed:.2f}")
     manifest = _manifest(args, product=args.product, oup_range=args.oup_range,
                          step=args.step, review=args.review, horizon=args.horizon,
                          replications=args.replications)
@@ -382,10 +380,7 @@ def _cmd_compare(args) -> int:
     lines = ["product,policy,mean_profit,profit_std,lost_order_fraction,fill_rate"]
     for name, (pq_stats, rq_stats) in comparison.per_product.items():
         for label, stats in (("pq", pq_stats), ("rq", rq_stats)):
-            lines.append(
-                f"{name},{label},{_money(stats.mean_profit)},{_money(stats.profit_std)},"
-                f"{stats.lost_order_fraction:.4f},{stats.fill_rate:.4f}"
-            )
+            lines.append(f"{name},{label},{_stats_cells(stats)}")
     lines.append(f"TOTAL,pq,{_money(comparison.total_periodic_profit)},,,")
     lines.append(f"TOTAL,rq,{_money(comparison.total_continuous_profit)},,,")
     lines.append(f"TOTAL,relative_difference,{comparison.relative_difference:.4f},,,")
@@ -398,8 +393,7 @@ def _cmd_compare(args) -> int:
 def _cmd_optimize(args) -> int:
     catalog = _require_catalog(args)
     mode = "oup" if args.objective == "oup-per-product" else args.objective
-    sim_cfg = SimConfig(horizon=args.horizon, replications=args.replications, seed=args.seed)
-    objective = policy_profit_objective(catalog, sim_cfg, mode)
+    objective = policy_profit_objective(catalog, _sim_config(args), mode)
     if args.bounds:
         try:
             bounds = tuple((float(lo), float(hi)) for lo, hi in _load_json(args.bounds))
@@ -462,13 +456,12 @@ def _cmd_sensitivity(args) -> int:
         deltas = tuple(float(d) for d in args.deltas.split(","))
     except ValueError:
         raise ConfigError(f"--deltas must be comma-separated numbers, got {args.deltas!r}") from None
-    policies = catalog_policies(catalog, params, args.params)
+    cases = catalog_cases(catalog, params, args.params)
 
     specs = [SensitivitySpec(variable, deltas) for variable in variables]
     if args.mode == "resim":
         rows = sensitivity_resim(catalog, params, cfg, *specs)
     else:
-        cases = [(p, demand_model(p), policy) for p, policy in zip(catalog, policies)]
         baseline = {
             p.name: BaselineOutputs.from_stats(runs.stats(), policy_safety_stock(p, policy))
             for (p, _, policy), runs in zip(cases, simulate_cases(cases, cfg).split(len(cases)))

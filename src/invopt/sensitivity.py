@@ -30,8 +30,7 @@ from .simengine import (
     PolicyParams,
     ReplicationStats,
     SimConfig,
-    catalog_policies,
-    demand_model,
+    catalog_cases,
     simulate_cases,
 )
 
@@ -164,17 +163,15 @@ def sensitivity_resim(
                 f"variable {spec.variable!r} is not resimulatable; "
                 f"choose one of {', '.join(POLICY_VARIABLES)}"
             )
-    policies = catalog_policies(catalog, params)
-    perturbed = [(spec.variable, delta, product,
-                  _perturb(policy, spec.variable, delta, product.name))
-                 for spec in specs for delta in spec.deltas
-                 for product, policy in zip(catalog, policies)]
+    cases = catalog_cases(catalog, params)
+    perturbed = [(spec.variable, delta,
+                  (product, demand, _perturb(policy, spec.variable, delta, product.name)))
+                 for spec in specs for delta in spec.deltas for product, demand, policy in cases]
     if not perturbed:
         return []
-    runs = simulate_cases([(product, demand_model(product), policy)
-                           for _, _, product, policy in perturbed], cfg).split(len(perturbed))
+    runs = simulate_cases([case for _, _, case in perturbed], cfg).split(len(perturbed))
     rows = []
-    for (variable, delta, product, policy), part in zip(perturbed, runs):
+    for (variable, delta, (product, _, policy)), part in zip(perturbed, runs):
         stats = part.stats()
         rows.append(SensitivityRow(
             variable=variable,

@@ -27,15 +27,16 @@ triples, and advances every run of every case, periodic and continuous review
 alike, in one lockstep day loop; it returns the per-run outcomes as
 ``RunSamples``.
 Every entry point makes one engine call and reduces it: statistics, sweeps,
-comparisons and histograms are reductions of that one batch.  Runs that
-share a replication id read the same uniforms (common random numbers), so
-sweep levels and compared policies differ without sampling noise between
-them, and the products of a catalog see comonotone demand within a
-replication.
+comparisons, histograms and the day trajectory are reductions of that one
+batch.  Runs that share a replication id read the same uniforms (common
+random numbers), so sweep levels and compared policies differ without
+sampling noise between them, and the products of a catalog see comonotone
+demand within a replication.
 
-``simulate_once(product, demand, policy, cfg, replication=0)`` is the
-one-run batch: replication ``replication`` under ``cfg.seed``, returned as a
-``RunSamples`` of length 1 with the day trajectory in ``records``.
+A batch's ``records`` hold the day trajectory of its run 0: replication 0 of
+the first case for ``simulate_cases``.  ``simulate_once(product, demand,
+policy, cfg, replication=0)`` is the one-run batch: replication
+``replication`` under ``cfg.seed``, returned as a ``RunSamples`` of length 1.
 """
 
 from __future__ import annotations
@@ -159,7 +160,8 @@ class RunSamples:
     ``unmet_demand`` is the batch's demand mode: it decides whether demand
     that was never served is the lost units or the backorders still queued
     at the horizon.  ``records`` holds run 0's day trajectory when the batch
-    was asked to record it.
+    was asked to record it, as ``simulate_cases`` and ``simulate_once`` do;
+    the parts that ``split`` returns hold none.
     """
 
     unmet_demand: str
@@ -221,14 +223,14 @@ def demand_model(product: ProductSpec) -> DemandModel:
     )
 
 
-def catalog_policies(
+def catalog_cases(
     catalog: Catalog, params: Mapping[str, PolicyParams], source: str = "policy"
-) -> list[PolicyParams]:
-    """The policy of every catalog product, in catalog order."""
+) -> list[Case]:
+    """The (product, demand model, policy) case of every catalog product, in catalog order."""
     for product in catalog:
         if product.name not in params:
             raise ConfigError(f"{source}: missing params for product {product.name!r}")
-    return [params[product.name] for product in catalog]
+    return [(product, demand_model(product), params[product.name]) for product in catalog]
 
 
 def _batch_over_reps(
@@ -246,7 +248,7 @@ def _batch_over_reps(
     same demand and lead-time rows (common random numbers).  Each distinct id's
     demand stream, and its lead-time stream when lead times are random, is
     built and drawn once; the block transforms turn its uniforms into the row
-    of every distinct demand model (lead time) that a run with that id reads.
+    of every distinct demand model (lead-time model) of the batch.
     """
     case_idx = np.asarray(case_idx, dtype=np.int64)
     n_runs = len(case_idx)
@@ -260,25 +262,21 @@ def _batch_over_reps(
         return np.asarray(values, dtype)[case_idx]
 
     unique_ids, id_row = np.unique(np.asarray(rep_ids, np.int64), return_inverse=True)
+    n_ids = len(unique_ids)
 
     def sampled_rows(models, lane, series):
-        """Day-major rows, one per distinct (replication id, model) some run reads,
-        and each run's row.  Each distinct id's stream is built and drawn once,
-        SAMPLE_CHUNK ids at a time, whatever the number of models reading it."""
+        """Day-major rows, one per (distinct model, distinct replication id), and
+        each run's row.  Each distinct id's stream is built and drawn once,
+        SAMPLE_CHUNK ids at a time, and transformed into every distinct model."""
         index: dict = {}
         model_of_run = per_run([index.setdefault(m, len(index)) for m in models])
         distinct = list(index)
-        pairs, run_row = np.unique(id_row * len(distinct) + model_of_run, return_inverse=True)
-        pair_id, pair_model = np.divmod(pairs, len(distinct))
-        rows = np.empty((horizon, len(pairs)), np.int64)
-        for lo in range(0, len(unique_ids), SAMPLE_CHUNK):
+        rows = np.empty((horizon, len(distinct), n_ids), np.int64)
+        for lo in range(0, n_ids, SAMPLE_CHUNK):
             ids = unique_ids[lo:lo + SAMPLE_CHUNK]
-            c0, c1 = np.searchsorted(pair_id, [lo, lo + len(ids)])
-            used, model_col = np.unique(pair_model[c0:c1], return_inverse=True)
-            block = series([distinct[m] for m in used],
-                           [RngStream(cfg.seed, int(i), (lane,)) for i in ids], horizon)
-            rows[:, c0:c1] = block[model_col, pair_id[c0:c1] - lo].T
-        return rows, run_row
+            block = series(distinct, [RngStream(cfg.seed, int(i), (lane,)) for i in ids], horizon)
+            rows[:, :, lo:lo + len(ids)] = block.transpose(2, 0, 1)
+        return rows.reshape(horizon, -1), model_of_run * n_ids + id_row
 
     demand_by_day, demand_row = sampled_rows([d for _, d, _ in cases], DEMAND_LANE, demand_series)
     random_lead = not isinstance(cfg.lead_time_mode, Deterministic)
@@ -394,10 +392,11 @@ def simulate_once(
 
 def simulate_cases(cases: Sequence[Case], cfg: SimConfig) -> RunSamples:
     """cfg.replications runs of each case, case after case; replication i of
-    every case uses stream id i (common random numbers across cases)."""
+    every case uses stream id i (common random numbers across cases).  The
+    records hold the day trajectory of replication 0 of the first case."""
     n = cfg.replications
     return _batch_over_reps(cases, cfg, np.repeat(np.arange(len(cases)), n),
-                            np.tile(np.arange(n, dtype=np.int64), len(cases)))
+                            np.tile(np.arange(n, dtype=np.int64), len(cases)), record=True)
 
 
 def replication_samples(
@@ -406,7 +405,8 @@ def replication_samples(
     policy: PolicyParams,
     cfg: SimConfig,
 ) -> RunSamples:
-    """Per-run outcomes of cfg.replications runs; replication i uses stream id i."""
+    """Per-run outcomes of cfg.replications runs, with replication 0's day
+    trajectory in records; replication i uses stream id i."""
     return simulate_cases([(product, demand, policy)], cfg)
 
 
@@ -465,10 +465,8 @@ def compare_policies(
     so the comparison isolates the policy effect; identical assignments on
     both sides give a relative difference of exactly zero.
     """
-    sides = (catalog_policies(catalog, pq_params, "periodic review"),
-             catalog_policies(catalog, rq_params, "continuous review"))
-    cases = [(p, demand_model(p), policy) for policies in sides
-             for p, policy in zip(catalog, policies)]
+    cases = (catalog_cases(catalog, pq_params, "periodic review")
+             + catalog_cases(catalog, rq_params, "continuous review"))
     stats = [runs.stats() for runs in simulate_cases(cases, cfg).split(len(cases))]
     per_product = {p.name: (stats[i], stats[i + len(catalog)]) for i, p in enumerate(catalog)}
     total_pq = sum(s.mean_profit for s, _ in per_product.values())

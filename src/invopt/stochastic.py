@@ -196,11 +196,6 @@ class DemandModel:
         s2 = self.log_sigma**2
         return math.sqrt((math.exp(s2) - 1.0) * math.exp(2.0 * self.log_mu + s2))
 
-    @property
-    def daily_mean(self) -> float:
-        """Unconditional expected demand per day."""
-        return self.order_probability * self.analytic_order_size_mean
-
 
 @dataclass(frozen=True)
 class Deterministic:

@@ -1,12 +1,21 @@
 import json
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from invopt import simengine
+from invopt.catalog import load_catalog
 from invopt.cli import emit_histogram, main
 from invopt.errors import DomainError
+from invopt.simengine import (
+    ContinuousReview,
+    PeriodicReview,
+    SimConfig,
+    demand_model,
+    simulate_once,
+)
 
 from conftest import count_engine_calls
 
@@ -184,7 +193,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("extra, batches", [
         ((), 4),
         (("--emit-histogram", "HIST"), 4),
-        (("--emit-histogram", "HIST", "--emit-trajectory", "TRAJ"), 8),
+        (("--emit-histogram", "HIST", "--emit-trajectory", "TRAJ"), 4),
     ])
     def test_one_batch_per_product(self, capsys, monkeypatch, tmp_path, table1_path,
                                    pq_params_file, extra, batches):
@@ -194,8 +203,29 @@ class TestSimulateCommand:
                              "--params", pq_params_file, "--replications", "16",
                              *(paths.get(a, a) for a in extra))
         assert code == 0
-        assert len(calls) == batches
-        assert sum(calls) == 4 * 16 + (batches - 4)
+        assert calls == [16] * batches
+
+    @pytest.mark.parametrize("policy", ["pq", "rq"])
+    def test_trajectory_is_replication_zero(self, capsys, tmp_path, table1_path,
+                                            pq_params_file, rq_params_file, policy):
+        params_file = pq_params_file if policy == "pq" else rq_params_file
+        traj = tmp_path / "traj.csv"
+        code, _, _ = run_cli(capsys, "--catalog", table1_path, "--seed", "5", "simulate",
+                             "--policy", policy, "--params", params_file, "--horizon", "60",
+                             "--replications", "3", "--emit-trajectory", str(traj))
+        assert code == 0
+        lines = [l for l in traj.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "product,day,demand,sold,unmet,on_hand_end,on_order,order_placed,receipt"
+        kind = PeriodicReview if policy == "pq" else ContinuousReview
+        raw = json.loads(Path(params_file).read_text())
+        cfg = SimConfig(horizon=60, replications=3, seed=5)
+        expected = [
+            f"{product.name}," + ",".join(map(str, astuple(rec)))
+            for product in load_catalog(table1_path)
+            for rec in simulate_once(product, demand_model(product),
+                                     kind(**raw[product.name]), cfg).records
+        ]
+        assert lines[1:] == expected
 
     @pytest.mark.parametrize("value", [812.9, True])
     def test_non_integral_params_rejected(self, capsys, tmp_path, table1_path, value):

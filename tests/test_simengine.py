@@ -14,7 +14,7 @@ from invopt.simengine import (
     RunSamples,
     SimConfig,
     _batch_over_reps,
-    catalog_policies,
+    catalog_cases,
     compare_policies,
     demand_model,
     replicate,
@@ -253,9 +253,11 @@ class TestMixedBatch:
                 np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name)[order],
                                               f.name)
 
-    @pytest.mark.parametrize("mode", [
+    modes = pytest.mark.parametrize("mode", [
         {}, {"unmet_demand": BACKORDER}, {"lead_time_mode": MeetOrDelay(0.6, 1.5)},
     ], ids=["lost_sales", "backorder", "meet_or_delay"])
+
+    @modes
     def test_equals_per_case_replication_samples(self, products, mode):
         cfg = small_cfg(replications=12, **mode)
         cases = self.cases(products)
@@ -271,6 +273,15 @@ class TestMixedBatch:
         order = np.random.default_rng(3).permutation(len(case_idx))
         shuffled = _batch_over_reps(cases, cfg, case_idx[order], rep_ids[order])
         self.assert_same_runs(shuffled, simulate_cases(cases, cfg), order)
+
+    @modes
+    def test_records_are_first_case_replication_zero(self, products, mode):
+        cfg = small_cfg(replications=5, horizon=90, **mode)
+        cases = self.cases(products)[::-1]  # case 0 under continuous review
+        batch = simulate_cases(cases, cfg)
+        assert len(batch.records) == cfg.horizon
+        assert batch.records == simulate_once(*cases[0], cfg).records
+        assert all(part.records == () for part in batch.split(len(cases)))
 
 
 class TestStreamsPerCall:
@@ -344,13 +355,13 @@ class TestEngineCalls:
         assert calls == [2 * len(catalog) * 5]
 
 
-def test_catalog_policies_in_catalog_order(catalog):
+def test_catalog_cases_in_catalog_order(catalog):
     params = {p.name: PeriodicReview(30, 1000 + i) for i, p in reversed(list(enumerate(catalog)))}
-    assert catalog_policies(catalog, params) == [PeriodicReview(30, 1000 + i)
-                                                 for i in range(len(catalog))]
+    assert catalog_cases(catalog, params) == [(p, demand_model(p), PeriodicReview(30, 1000 + i))
+                                              for i, p in enumerate(catalog)]
     del params["PrC"]
     with pytest.raises(ConfigError, match="missing.*'PrC'"):
-        catalog_policies(catalog, params)
+        catalog_cases(catalog, params)
 
 
 class TestPolicyValidation:
