@@ -2,8 +2,12 @@
 
 Subcommands: eoq, risk, simulate, sweep, compare, optimize, sensitivity.
 Reports are CSV on stdout (or files under --out-dir) with the run manifest
-embedded as leading comment lines; diagnostics go to stderr.  Exit codes:
-0 ok, 2 configuration/validation error, 3 numerical failure.
+embedded as leading comment lines; diagnostics go to stderr.  The manifest
+is built from the parsed arguments: subcommand, catalog, seed, version and
+rng, then every other argument that has a value (file arguments by path,
+output locations left out) and the values a command computes, such as
+optimize's best_x.  Exit codes: 0 ok, 2 configuration/validation error,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -11,14 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .catalog import Catalog, load_catalog
+from .catalog import load_catalog
 from .eoq import build_eoq_report
 from .errors import ConfigError, DomainError, NumericalError, ParseError, ValidationError
 from .gpbo import BoConfig, ConditioningFn, bo_run
@@ -51,43 +55,6 @@ from .stochastic import (
     RNG_ALGORITHM,
     RngStream,  # not used here: perfbench/tracer.py wraps it as cli.RngStream
 )
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance attached to every emitted report.
-
-    Only deterministic fields are recorded, so identical runs produce
-    identical reports.
-    """
-
-    subcommand: str
-    catalog_path: str
-    seed: int
-    config: dict
-    version: str = __version__
-    rng_algorithm: str = RNG_ALGORITHM
-
-    def comment_lines(self) -> list[str]:
-        lines = [
-            f"# manifest subcommand={self.subcommand}",
-            f"# manifest catalog={self.catalog_path}",
-            f"# manifest seed={self.seed}",
-            f"# manifest version={self.version}",
-            f"# manifest rng={self.rng_algorithm}",
-        ]
-        for key in sorted(self.config):
-            lines.append(f"# manifest {key}={self.config[key]}")
-        return lines
-
-
-def _manifest(args, **config) -> RunManifest:
-    return RunManifest(
-        subcommand=args.subcommand,
-        catalog_path=args.catalog or "",
-        seed=args.seed,
-        config=config,
-    )
 
 
 def emit_histogram(samples, bins: int) -> str:
@@ -194,12 +161,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require_catalog(args) -> Catalog:
-    if not args.catalog:
-        raise ConfigError("--catalog is required for this subcommand")
-    return load_catalog(args.catalog)
-
-
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -240,15 +201,37 @@ def _load_params(path: str, policy: str) -> dict:
     return params
 
 
-def _write(args, manifest: RunManifest, filename: str, body: str) -> None:
-    text = "\n".join(manifest.comment_lines()) + "\n" + body
+# where reports go, not what is in them: left out of the manifest
+_OUTPUT_LOCATIONS = ("out_dir", "emit_trajectory", "emit_histogram")
+
+
+def _write(args, filename: str, rows: list[str], side_files=(), **computed) -> int:
+    """Write report `filename` (to stdout or --out-dir) and each (path, rows) side
+    file whose path is set, all under one manifest: subcommand, catalog, seed,
+    version and rng, then every other argument that has a value and the
+    `computed` values, sorted by name.
+    """
+    fixed = {"subcommand", "catalog", "seed", *_OUTPUT_LOCATIONS}
+    config = {k: v for k, v in vars(args).items() if v is not None and k not in fixed}
+    head = [("subcommand", args.subcommand), ("catalog", args.catalog), ("seed", args.seed),
+            ("version", __version__), ("rng", RNG_ALGORITHM)]
+    manifest = [f"# manifest {key}={value}"
+                for key, value in head + sorted({**config, **computed}.items())]
+
+    def text(lines: list[str]) -> str:
+        return "\n".join(manifest + lines) + "\n"
+
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / filename).write_text(text, encoding="utf-8")
+        (out / filename).write_text(text(rows), encoding="utf-8")
         print(f"wrote {out / filename}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text(rows))
+    for path, lines in side_files:
+        if path:
+            Path(path).write_text(text(lines), encoding="utf-8")
+    return 0
 
 
 def _money(x: float) -> str:
@@ -261,8 +244,7 @@ def _stats_cells(stats) -> str:
             f"{stats.lost_order_fraction:.4f},{stats.fill_rate:.4f}")
 
 
-def _cmd_eoq(args) -> int:
-    catalog = _require_catalog(args)
+def _cmd_eoq(args, catalog) -> int:
     reports = [
         build_eoq_report(p, args.service_level, args.review_time, args.legacy_z)
         for p in catalog
@@ -280,17 +262,11 @@ def _cmd_eoq(args) -> int:
         ("z_score", [f"{r.z_score:g}" for r in reports]),
         ("service_level", [f"{r.service_level:g}" for r in reports]),
     ]
-    body = f"metric,{names}\n" + "\n".join(
-        f"{label}," + ",".join(cells) for label, cells in rows
-    ) + "\n"
-    manifest = _manifest(args, service_level=args.service_level,
-                         review_time=args.review_time, legacy_z=args.legacy_z)
-    _write(args, manifest, "eoq.csv", body)
-    return 0
+    return _write(args, "eoq.csv",
+                  [f"metric,{names}", *(f"{label}," + ",".join(cells) for label, cells in rows)])
 
 
-def _cmd_risk(args) -> int:
-    catalog = _require_catalog(args)
+def _cmd_risk(args, catalog) -> int:
     reports = build_risk_report(catalog, args.holding_cost_rate, args.backorder_cost)
     lines = ["product,hcr,service_level,spr_rank,p_meet,ihc,expected_backorders,boc,efr"]
     for r in reports:
@@ -299,19 +275,17 @@ def _cmd_risk(args) -> int:
             f"{r.p_meet:g},{_money(r.ihc)},{r.expected_backorders:.2f},"
             f"{_money(r.boc)},{r.efr:.4f}"
         )
-    manifest = _manifest(args, holding_cost_rate=args.holding_cost_rate,
-                         backorder_cost=args.backorder_cost)
-    _write(args, manifest, "risk.csv", "\n".join(lines) + "\n")
-    return 0
+    return _write(args, "risk.csv", lines)
 
 
 def _sim_config(args) -> SimConfig:
     return SimConfig(horizon=args.horizon, replications=args.replications, seed=args.seed)
 
 
-def _cmd_simulate(args) -> int:
-    catalog = _require_catalog(args)
+def _cmd_simulate(args, catalog) -> int:
     cfg = _sim_config(args)
+    if args.bins < 1:
+        raise ConfigError(f"--bins {args.bins} must be >= 1")
     params = _load_params(args.params, args.policy)
     lines = ["product,policy,mean_profit,profit_std,lost_order_fraction,"
              "fill_rate,mean_orders_placed,replications"]
@@ -332,21 +306,11 @@ def _cmd_simulate(args) -> int:
                                    ("lost_orders", runs.lost_order_fraction)):
                 hist = emit_histogram(values, args.bins).splitlines()[1:]
                 histogram_lines.extend(f"{metric}:{product.name},{row}" for row in hist)
-    manifest = _manifest(args, policy=args.policy, params=args.params,
-                         horizon=args.horizon, replications=args.replications,
-                         unmet_demand=cfg.unmet_demand)
-    _write(args, manifest, "simulate.csv", "\n".join(lines) + "\n")
-    if args.emit_trajectory:
-        Path(args.emit_trajectory).write_text(
-            "\n".join(manifest.comment_lines() + trajectory_lines) + "\n", encoding="utf-8")
-    if args.emit_histogram:
-        Path(args.emit_histogram).write_text(
-            "\n".join(manifest.comment_lines() + histogram_lines) + "\n", encoding="utf-8")
-    return 0
+    side_files = ((args.emit_trajectory, trajectory_lines), (args.emit_histogram, histogram_lines))
+    return _write(args, "simulate.csv", lines, side_files, unmet_demand=cfg.unmet_demand)
 
 
-def _cmd_sweep(args) -> int:
-    catalog = _require_catalog(args)
+def _cmd_sweep(args, catalog) -> int:
     try:
         product = catalog.get(args.product)
     except KeyError:
@@ -362,15 +326,10 @@ def _cmd_sweep(args) -> int:
              "mean_orders_placed"]
     for oup, stats in results:
         lines.append(f"{oup},{_stats_cells(stats)},{stats.mean_orders_placed:.2f}")
-    manifest = _manifest(args, product=args.product, oup_range=args.oup_range,
-                         step=args.step, review=args.review, horizon=args.horizon,
-                         replications=args.replications)
-    _write(args, manifest, "sweep.csv", "\n".join(lines) + "\n")
-    return 0
+    return _write(args, "sweep.csv", lines)
 
 
-def _cmd_compare(args) -> int:
-    catalog = _require_catalog(args)
+def _cmd_compare(args, catalog) -> int:
     cfg = _sim_config(args)
     comparison = compare_policies(
         catalog, cfg,
@@ -384,14 +343,10 @@ def _cmd_compare(args) -> int:
     lines.append(f"TOTAL,pq,{_money(comparison.total_periodic_profit)},,,")
     lines.append(f"TOTAL,rq,{_money(comparison.total_continuous_profit)},,,")
     lines.append(f"TOTAL,relative_difference,{comparison.relative_difference:.4f},,,")
-    manifest = _manifest(args, horizon=args.horizon, replications=args.replications,
-                         pq_params=args.pq_params, rq_params=args.rq_params)
-    _write(args, manifest, "compare.csv", "\n".join(lines) + "\n")
-    return 0
+    return _write(args, "compare.csv", lines)
 
 
-def _cmd_optimize(args) -> int:
-    catalog = _require_catalog(args)
+def _cmd_optimize(args, catalog) -> int:
     mode = "oup" if args.objective == "oup-per-product" else args.objective
     objective = policy_profit_objective(catalog, _sim_config(args), mode)
     if args.bounds:
@@ -433,17 +388,11 @@ def _cmd_optimize(args) -> int:
         incumbent = max(incumbent, value)
         coords = ",".join(f"{v:.2f}" for v in point)
         lines.append(f"{i},{coords},{_money(value)},{_money(incumbent)}")
-    manifest = _manifest(args, objective=args.objective, budget=args.budget,
-                         initial_design=args.initial_design, acquisition=args.acquisition,
-                         replications=args.replications, horizon=args.horizon,
-                         best_x=[round(v) for v in result.best_x],
-                         best_value=round(result.best_y, 2))
-    _write(args, manifest, "optimize.csv", "\n".join(lines) + "\n")
-    return 0
+    return _write(args, "optimize.csv", lines,
+                  best_x=[round(v) for v in result.best_x], best_value=round(result.best_y, 2))
 
 
-def _cmd_sensitivity(args) -> int:
-    catalog = _require_catalog(args)
+def _cmd_sensitivity(args, catalog) -> int:
     cfg = _sim_config(args)
     params = _load_params(args.params, args.policy)
     if args.variables is not None:
@@ -475,12 +424,7 @@ def _cmd_sensitivity(args) -> int:
             f"{_money(row.profit_std)},{row.lost_orders:.4f},{row.safety_stock:.1f},"
             f"{'|'.join(row.needs_resim)}"
         )
-    manifest = _manifest(args, mode=args.mode, policy=args.policy,
-                         variables=",".join(variables),
-                         deltas=args.deltas, horizon=args.horizon,
-                         replications=args.replications)
-    _write(args, manifest, "sensitivity.csv", "\n".join(lines) + "\n")
-    return 0
+    return _write(args, "sensitivity.csv", lines, variables=",".join(variables))
 
 
 _COMMANDS = {
@@ -495,9 +439,10 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return _COMMANDS[args.subcommand](args)
+    args = _build_parser().parse_args(argv)
+    if not args.catalog:
+        raise ConfigError("--catalog is required for this subcommand")
+    return _COMMANDS[args.subcommand](args, load_catalog(args.catalog))
 
 
 def main(argv=None) -> int:

@@ -95,6 +95,9 @@ class ConditioningFn:
         m = len(self.centers)
         if len(self.widths) != m or len(self.weights) != m:
             raise ConfigError("centers, widths, and weights must have equal length")
+        values = (self.alpha, *(v for c in self.centers for v in c), *self.widths, *self.weights)
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError("alpha, center coordinates, widths and weights must be finite")
         if any(w <= 0 for w in self.widths):
             raise ConfigError("bump widths must be > 0")
         for i, center in enumerate(self.centers):
@@ -453,6 +456,8 @@ class BoConfig:
             )
         if self.acquisition not in ("ei", "pi"):
             raise ConfigError(f"acquisition {self.acquisition!r} not 'ei' or 'pi'")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be >= 0")
 
     @property
     def dim(self) -> int:

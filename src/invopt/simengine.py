@@ -126,6 +126,8 @@ class SimConfig:
             raise ConfigError(f"horizon {self.horizon} must be >= 1")
         if self.replications < 1:
             raise ConfigError(f"replications {self.replications} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be >= 0")
         if self.unmet_demand not in (LOST_SALES, BACKORDER):
             raise ConfigError(f"unmet_demand {self.unmet_demand!r} not one of "
                               f"{LOST_SALES!r}, {BACKORDER!r}")

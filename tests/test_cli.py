@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invopt import simengine
+from invopt import objectives, simengine
 from invopt.catalog import load_catalog
-from invopt.cli import emit_histogram, main
+from invopt.cli import _build_parser, emit_histogram, main
 from invopt.errors import DomainError
 from invopt.simengine import (
     ContinuousReview,
@@ -204,6 +204,20 @@ class TestSimulateCommand:
                              *(paths.get(a, a) for a in extra))
         assert code == 0
         assert calls == [16] * batches
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    @pytest.mark.parametrize("extra", [(), ("--emit-histogram", "HIST")])
+    def test_bad_bins_rejected_before_simulating(self, capsys, monkeypatch, tmp_path,
+                                                 table1_path, pq_params_file, bins, extra):
+        calls = count_engine_calls(monkeypatch, simengine)
+        hist = tmp_path / "h.csv"
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "simulate", "--policy", "pq",
+                                 "--params", pq_params_file, "--replications", "4",
+                                 "--bins", bins, *(str(hist) if a == "HIST" else a for a in extra))
+        assert code == 2
+        assert out == "" and not hist.exists()
+        assert err.startswith("config:") and "--bins" in err
+        assert calls == []
 
     @pytest.mark.parametrize("policy", ["pq", "rq"])
     def test_trajectory_is_replication_zero(self, capsys, tmp_path, table1_path,
@@ -404,6 +418,27 @@ class TestOptimizeInputs:
         assert out == ""
         assert err.startswith("config:") and message in err
 
+    @pytest.mark.parametrize("content", [
+        '{"alpha": NaN}',
+        '{"alpha": Infinity}',
+        '{"alpha": 1.0, "centers": [[NaN, 1, 1, 1]], "widths": [1.0], "weights": [1.0]}',
+        '{"alpha": 1.0, "centers": [[1, 1, 1, 1]], "widths": [Infinity], "weights": [1.0]}',
+        '{"alpha": 1.0, "centers": [[1, 1, 1, 1]], "widths": [NaN], "weights": [1.0]}',
+        '{"alpha": 1.0, "centers": [[1, 1, 1, 1]], "widths": [1.0], "weights": [-Infinity]}',
+    ])
+    def test_non_finite_conditioning_rejected(self, capsys, monkeypatch, tmp_path,
+                                              table1_path, content):
+        calls = count_engine_calls(monkeypatch, objectives)
+        cond = tmp_path / "cond.json"
+        cond.write_text(content)
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "optimize",
+                                 "--conditioning", str(cond), "--budget", "5",
+                                 "--initial-design", "4", "--replications", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config:") and "finite" in err
+        assert calls == []
+
 
 class TestSensitivityCommand:
     def test_linear_rows(self, capsys, table1_path, pq_params_file):
@@ -463,7 +498,7 @@ def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch, table1_path):
     from invopt import cli as cli_module
     from invopt.errors import NumericalError
 
-    def explode(args):
+    def explode(args, catalog):
         raise NumericalError("factorization failed")
 
     monkeypatch.setitem(cli_module._COMMANDS, "eoq", explode)
@@ -480,3 +515,80 @@ def test_out_dir_writes_files(capsys, tmp_path, table1_path):
     assert out == ""  # report went to the file, not stdout
     assert (out_dir / "eoq.csv").exists()
     assert "eoq.csv" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--policy", "pq", "--params", "PQ", "--replications", "2"],
+    ["sweep", "--product", "PrA", "--oup-range", "1800:2100", "--replications", "2"],
+    ["compare", "--pq-params", "PQ", "--rq-params", "RQ", "--replications", "2"],
+    ["sensitivity", "--mode", "resim", "--policy", "rq", "--params", "RQ",
+     "--replications", "2"],
+    ["optimize", "--budget", "5", "--initial-design", "4", "--replications", "2"],
+])
+def test_negative_seed_rejected(capsys, table1_path, pq_params_file, rq_params_file, argv):
+    files = {"PQ": pq_params_file, "RQ": rq_params_file}
+    code, out, err = run_cli(capsys, "--catalog", table1_path, "--seed", "-1",
+                             *(files.get(a, a) for a in argv), "--horizon", "30")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config:") and "seed -1" in err
+
+
+OUTPUT_LOCATIONS = {"out_dir", "emit_trajectory", "emit_histogram"}
+
+
+@pytest.fixture()
+def input_files(tmp_path, pq_params_file, rq_params_file):
+    bounds = tmp_path / "bounds.json"
+    bounds.write_text(json.dumps([[1, 3000], [1, 30000], [1, 6000], [1, 3000]]))
+    cond = tmp_path / "cond.json"
+    cond.write_text(json.dumps({"alpha": 1.0, "centers": [[2000, 18000, 4000, 1300]],
+                                "widths": [2000.0], "weights": [1.0]}))
+    return {"PQ": pq_params_file, "RQ": rq_params_file, "BOUNDS": str(bounds),
+            "COND": str(cond), "HIST": str(tmp_path / "h.csv"),
+            "TRAJ": str(tmp_path / "t.csv")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eoq", "--service-level", "0.9", "--legacy-z"],
+    ["risk", "--backorder-cost", "2.5"],
+    ["simulate", "--policy", "rq", "--params", "RQ", "--replications", "3", "--horizon", "30",
+     "--bins", "5", "--emit-histogram", "HIST", "--emit-trajectory", "TRAJ"],
+    ["sweep", "--product", "PrA", "--oup-range", "1800:2100", "--step", "300",
+     "--replications", "2", "--horizon", "30"],
+    ["compare", "--pq-params", "PQ", "--rq-params", "RQ", "--replications", "2",
+     "--horizon", "30"],
+    ["optimize", "--bounds", "BOUNDS", "--conditioning", "COND", "--acquisition", "pi",
+     "--budget", "5", "--initial-design", "4", "--replications", "2", "--horizon", "30"],
+    ["sensitivity", "--mode", "resim", "--policy", "pq", "--params", "PQ",
+     "--variables", "oup", "--replications", "2", "--horizon", "30"],
+])
+def test_manifest_records_every_argument(capsys, tmp_path, table1_path, input_files, argv):
+    argv = ["--catalog", table1_path, "--seed", "4", "--out-dir", str(tmp_path / "out"),
+            *(input_files.get(a, a) for a in argv)]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    args = vars(_build_parser().parse_args(argv))
+    report = (tmp_path / "out" / f"{args['subcommand']}.csv").read_text().splitlines()
+    manifest = [line for line in report if line.startswith("# manifest ")]
+    for key, value in args.items():
+        if value is not None and key not in OUTPUT_LOCATIONS:
+            assert f"# manifest {key}={value}" in manifest, key
+    recorded = {line[len("# manifest "):].split("=", 1)[0] for line in manifest}
+    assert not recorded & OUTPUT_LOCATIONS
+
+
+def test_report_bytes_independent_of_output_locations(capsys, tmp_path, table1_path,
+                                                      rq_params_file):
+    reports = []
+    for name in ("a", "b"):
+        where = tmp_path / name
+        code, out, _ = run_cli(capsys, "--catalog", table1_path, "--seed", "9",
+                               "--out-dir", str(where), "simulate", "--policy", "rq",
+                               "--params", rq_params_file, "--replications", "4",
+                               "--horizon", "30", "--bins", "4",
+                               "--emit-histogram", str(where / "h.csv"),
+                               "--emit-trajectory", str(where / "t.csv"))
+        assert code == 0 and out == ""
+        reports.append({f: (where / f).read_bytes() for f in ("simulate.csv", "h.csv", "t.csv")})
+    assert reports[0] == reports[1]

@@ -160,6 +160,20 @@ class TestGpPosterior:
         with pytest.raises(DomainError, match="center 1 has 3 coordinates, center 0 has 2"):
             ConditioningFn(1.0, ((1, 2), (1, 2, 3)), (1, 1), (1, 1))
 
+    @pytest.mark.parametrize("alpha, center, width, weight", [
+        (math.nan, 1.0, 1.0, 1.0),
+        (math.inf, 1.0, 1.0, 1.0),
+        (1.0, math.nan, 1.0, 1.0),
+        (1.0, -math.inf, 1.0, 1.0),
+        (1.0, 1.0, math.nan, 1.0),
+        (1.0, 1.0, math.inf, 1.0),
+        (1.0, 1.0, 1.0, math.nan),
+        (1.0, 1.0, 1.0, -math.inf),
+    ])
+    def test_non_finite_conditioning_rejected(self, alpha, center, width, weight):
+        with pytest.raises(ConfigError, match="must be finite"):
+            ConditioningFn(alpha, ((0.0, center),), (width,), (weight,))
+
     def test_conditioning_query_dimension_checked(self):
         cond = ConditioningFn(1.0, ((1.0, 2.0),), (1.0,), (1.0,))
         assert cond(np.array([[1.0, 2.0]]))[0] == pytest.approx(1.0)
@@ -564,3 +578,7 @@ class TestBoConfigValidation:
     def test_bad_acquisition(self):
         with pytest.raises(ConfigError):
             BoConfig(bounds=((0.0, 1.0),), budget=5, initial_design=2, acquisition="ucb")
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed -1"):
+            BoConfig(bounds=((0.0, 1.0),), budget=5, initial_design=2, seed=-1)

@@ -389,6 +389,10 @@ class TestPolicyValidation:
         with pytest.raises(ConfigError):
             SimConfig(unmet_demand="evaporate")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed -1"):
+            SimConfig(seed=-1)
+
 
 def _random_case(rng):
     """Random small product / policy / config for invariant sweeps."""
