@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from operator import attrgetter
@@ -46,7 +47,7 @@ from .simengine import (
     compare_policies,
     demand_model,
     replicate,  # not called here: perfbench/tracer.py wraps it as cli.replicate
-    replication_samples,
+    replication_samples,  # not called here: perfbench/tracer.py wraps it as cli.replication_samples
     simulate_cases,
     simulate_once,  # not called here: perfbench/tracer.py wraps it as cli.simulate_once
     sweep_oup,
@@ -206,10 +207,10 @@ _OUTPUT_LOCATIONS = ("out_dir", "emit_trajectory", "emit_histogram")
 
 
 def _write(args, filename: str, rows: list[str], side_files=(), **computed) -> int:
-    """Write report `filename` (to stdout or --out-dir) and each (path, rows) side
-    file whose path is set, all under one manifest: subcommand, catalog, seed,
-    version and rng, then every other argument that has a value and the
-    `computed` values, sorted by name.
+    """Write each (path, rows) side file whose path is set, then report
+    `filename` (to stdout or --out-dir), all under one manifest: subcommand,
+    catalog, seed, version and rng, then every other argument that has a value
+    and the `computed` values, sorted by name.
     """
     fixed = {"subcommand", "catalog", "seed", *_OUTPUT_LOCATIONS}
     config = {k: v for k, v in vars(args).items() if v is not None and k not in fixed}
@@ -221,17 +222,38 @@ def _write(args, filename: str, rows: list[str], side_files=(), **computed) -> i
     def text(lines: list[str]) -> str:
         return "\n".join(manifest + lines) + "\n"
 
-    if args.out_dir:
+    for path, lines in side_files:
+        if path is not None:
+            Path(path).write_text(text(lines), encoding="utf-8")
+    if args.out_dir is not None:
         out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         (out / filename).write_text(text(rows), encoding="utf-8")
         print(f"wrote {out / filename}", file=sys.stderr)
     else:
         sys.stdout.write(text(rows))
-    for path, lines in side_files:
-        if path:
-            Path(path).write_text(text(lines), encoding="utf-8")
     return 0
+
+
+def _check_outputs(args) -> None:
+    """Raise before any work when an output location cannot be written: an
+    empty path is a config error, --out-dir is created now, and each --emit-*
+    file must sit in an existing, writable directory."""
+    for name in _OUTPUT_LOCATIONS:
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        if not value:
+            raise ConfigError(f"--{name.replace('_', '-')} must not be empty")
+        path = Path(value)
+        if name == "out_dir":
+            path.mkdir(parents=True, exist_ok=True)
+            directory = path
+        elif path.is_dir():
+            raise IsADirectoryError(f"{value!r} is a directory, not a file")
+        else:
+            directory = path.parent
+        if not directory.is_dir() or not os.access(directory, os.W_OK | os.X_OK):
+            raise NotADirectoryError(f"{str(directory)!r} is not a writable directory")
 
 
 def _money(x: float) -> str:
@@ -286,22 +308,22 @@ def _cmd_simulate(args, catalog) -> int:
     cfg = _sim_config(args)
     if args.bins < 1:
         raise ConfigError(f"--bins {args.bins} must be >= 1")
-    params = _load_params(args.params, args.policy)
+    cases = catalog_cases(catalog, _load_params(args.params, args.policy), args.params)
+    batch = simulate_cases(cases, cfg, record=args.emit_trajectory is not None)
     lines = ["product,policy,mean_profit,profit_std,lost_order_fraction,"
              "fill_rate,mean_orders_placed,replications"]
     day_fields = [f.name for f in fields(DayRecord)]
     day_cells = attrgetter(*day_fields)
     trajectory_lines = [",".join(["product", *day_fields])]
     histogram_lines = ["metric,bin_lo,bin_hi,count"]
-    for product, demand, policy in catalog_cases(catalog, params, args.params):
-        runs = replication_samples(product, demand, policy, cfg)
+    for (product, _, _), runs in zip(cases, batch.split(len(cases))):
         stats = runs.stats()
         lines.append(f"{product.name},{args.policy},{_stats_cells(stats)},"
                      f"{stats.mean_orders_placed:.2f},{stats.n}")
-        if args.emit_trajectory:
+        if args.emit_trajectory is not None:
             trajectory_lines.extend(",".join(map(str, [product.name, *day_cells(rec)]))
                                     for rec in runs.records)
-        if args.emit_histogram:
+        if args.emit_histogram is not None:
             for metric, values in (("profit", runs.profit),
                                    ("lost_orders", runs.lost_order_fraction)):
                 hist = emit_histogram(values, args.bins).splitlines()[1:]
@@ -349,7 +371,7 @@ def _cmd_compare(args, catalog) -> int:
 def _cmd_optimize(args, catalog) -> int:
     mode = "oup" if args.objective == "oup-per-product" else args.objective
     objective = policy_profit_objective(catalog, _sim_config(args), mode)
-    if args.bounds:
+    if args.bounds is not None:
         try:
             bounds = tuple((float(lo), float(hi)) for lo, hi in _load_json(args.bounds))
         except (TypeError, ValueError):
@@ -361,7 +383,7 @@ def _cmd_optimize(args, catalog) -> int:
     if len(bounds) != objective.dim:
         raise ConfigError(f"{len(bounds)} bounds given for {objective.dim} products")
     conditioning = None
-    if args.conditioning:
+    if args.conditioning is not None:
         raw = _load_json(args.conditioning)
         try:
             conditioning = ConditioningFn(
@@ -442,6 +464,7 @@ def run(argv) -> int:
     args = _build_parser().parse_args(argv)
     if not args.catalog:
         raise ConfigError("--catalog is required for this subcommand")
+    _check_outputs(args)
     return _COMMANDS[args.subcommand](args, load_catalog(args.catalog))
 
 

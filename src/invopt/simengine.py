@@ -33,10 +33,16 @@ random numbers), so sweep levels and compared policies differ without
 sampling noise between them, and the products of a catalog see comonotone
 demand within a replication.
 
-A batch's ``records`` hold the day trajectory of its run 0: replication 0 of
-the first case for ``simulate_cases``.  ``simulate_once(product, demand,
+The engine takes the distinct replication ids in blocks of at most
+``BLOCK_ROWS`` sampled rows, and samples and advances one block's runs at a
+time, so its memory does not grow with the number of replications.
+
+Day trajectories are opt-in.  A batch asked to record keeps, in ``records``,
+the trajectory of the first run of every case, case after case; ``split``
+gives each part its case's trajectory.  ``simulate_once(product, demand,
 policy, cfg, replication=0)`` is the one-run batch: replication
-``replication`` under ``cfg.seed``, returned as a ``RunSamples`` of length 1.
+``replication`` under ``cfg.seed``, returned as a ``RunSamples`` of length 1
+with its trajectory.
 """
 
 from __future__ import annotations
@@ -68,6 +74,14 @@ LEAD_LANE = 1
 # garbage collector's 700-allocation young-generation threshold: with 128 ids
 # every block set off a collection, and a fresh process paid for a full one.
 SAMPLE_CHUNK = 64
+
+# Sampled rows (distinct demand models x replication ids) one block of an
+# engine call holds: the engine samples and advances the runs of
+# BLOCK_ROWS // models ids at a time, so a batch's demand rows stay at
+# BLOCK_ROWS x horizon int64 (4.5 MB over a year) whatever its size.  Chosen
+# by the peak RSS of a 4-product x 2 500-replication simulate: 1536 rows kept
+# it at the per-product engine calls' level, 2048 rows added 1.6 %.
+BLOCK_ROWS = 1536
 
 LOST_SALES = "lost_sales"
 BACKORDER = "backorder"
@@ -161,9 +175,9 @@ class RunSamples:
 
     ``unmet_demand`` is the batch's demand mode: it decides whether demand
     that was never served is the lost units or the backorders still queued
-    at the horizon.  ``records`` holds run 0's day trajectory when the batch
-    was asked to record it, as ``simulate_cases`` and ``simulate_once`` do;
-    the parts that ``split`` returns hold none.
+    at the horizon.  ``records`` is empty unless the batch was asked to
+    record (``simulate_once``, ``simulate_cases(..., record=True)``); then it
+    holds the day trajectory of the first run of every case, case after case.
     """
 
     unmet_demand: str
@@ -194,10 +208,14 @@ class RunSamples:
         return np.where(demand > 0, self._never_served / np.maximum(demand, 1), 0.0)
 
     def split(self, parts: int) -> list["RunSamples"]:
-        """The runs cut into `parts` equal consecutive groups (without day records)."""
+        """The runs cut into `parts` equal consecutive groups, and the records
+        likewise: when the parts are the batch's cases, each part holds its
+        case's runs and its case's day trajectory."""
         arrays = {f.name: np.split(getattr(self, f.name), parts) for f in fields(self)
                   if isinstance(getattr(self, f.name), np.ndarray)}
-        return [replace(self, records=(), **{name: pieces[i] for name, pieces in arrays.items()})
+        days = len(self.records) // parts
+        return [replace(self, records=self.records[i * days:(i + 1) * days],
+                        **{name: pieces[i] for name, pieces in arrays.items()})
                 for i in range(parts)]
 
     def stats(self) -> ReplicationStats:
@@ -235,6 +253,26 @@ def catalog_cases(
     return [(product, demand_model(product), params[product.name]) for product in catalog]
 
 
+def _distinct(models: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct models in first-seen order, and the index of each input among them."""
+    index: dict = {}
+    of_each = np.array([index.setdefault(m, len(index)) for m in models], np.int64)
+    return list(index), of_each
+
+
+def _sampled_rows(models: Sequence, ids: np.ndarray, lane: int, series,
+                  cfg: SimConfig) -> np.ndarray:
+    """Day-major rows, one per (model, id), model-major: row m * len(ids) + j is
+    model m on stream id ids[j].  Each id's stream is built and drawn once,
+    SAMPLE_CHUNK ids at a time, and transformed into every model."""
+    rows = np.empty((cfg.horizon, len(models), len(ids)), np.int64)
+    for lo in range(0, len(ids), SAMPLE_CHUNK):
+        chunk = ids[lo:lo + SAMPLE_CHUNK]
+        block = series(models, [RngStream(cfg.seed, int(i), (lane,)) for i in chunk], cfg.horizon)
+        rows[:, :, lo:lo + len(chunk)] = block.transpose(2, 0, 1)
+    return rows.reshape(cfg.horizon, -1)
+
+
 def _batch_over_reps(
     cases: Sequence[Case],
     cfg: SimConfig,
@@ -251,102 +289,125 @@ def _batch_over_reps(
     demand stream, and its lead-time stream when lead times are random, is
     built and drawn once; the block transforms turn its uniforms into the row
     of every distinct demand model (lead-time model) of the batch.
+
+    The distinct ids are taken in consecutive blocks of at most BLOCK_ROWS
+    sampled rows (distinct models x ids).  Each block's rows are sampled, the
+    runs that read them go through the day loop, and their finished ledgers
+    are written into the batch's arrays.  A run's arithmetic is elementwise,
+    so the blocks change no value.  With `record`, ``records`` holds the day
+    trajectory of the first run of every case, case after case.
     """
     case_idx = np.asarray(case_idx, dtype=np.int64)
     n_runs = len(case_idx)
     horizon = cfg.horizon
     lost_sales = cfg.unmet_demand == LOST_SALES
+    random_lead = not isinstance(cfg.lead_time_mode, Deterministic)
     products = [product for product, _, _ in cases]
     lead_models = [LeadTimeModel(p.lead_time, cfg.lead_time_mode) for p in products]
     window = max(max(m.max_days for m in lead_models), 1) + 1
+    demand_models, demand_model_of_case = _distinct([d for _, d, _ in cases])
+    lead_distinct, lead_model_of_case = _distinct(lead_models)
 
-    def per_run(values, dtype=np.int64) -> np.ndarray:
-        return np.asarray(values, dtype)[case_idx]
+    # per case: starting stock, fixed lead time and the policy's two fields,
+    # (review period, order-up-to) or (reorder point, quantity)
+    stock_of_case = np.array([p.starting_stock for p in products], np.int64)
+    fixed_lead_of_case = np.maximum(np.array([p.lead_time for p in products], np.int64), 1)
+    rq_of_case = np.array([isinstance(policy, ContinuousReview) for _, _, policy in cases])
+    a_of_case, b_of_case = np.array([astuple(policy) for _, _, policy in cases], np.int64).T
 
     unique_ids, id_row = np.unique(np.asarray(rep_ids, np.int64), return_inverse=True)
-    n_ids = len(unique_ids)
+    rows_per_id = max(len(demand_models), len(lead_distinct) if random_lead else 1)
+    block_ids = max(BLOCK_ROWS // rows_per_id, 1)
+    block_of_run = id_row // block_ids
+    order = np.argsort(block_of_run, kind="stable")  # each block's runs in batch order
+    n_blocks = -(-len(unique_ids) // block_ids)
+    bounds = np.searchsorted(block_of_run[order], np.arange(n_blocks + 1))
 
-    def sampled_rows(models, lane, series):
-        """Day-major rows, one per (distinct model, distinct replication id), and
-        each run's row.  Each distinct id's stream is built and drawn once,
-        SAMPLE_CHUNK ids at a time, and transformed into every distinct model."""
-        index: dict = {}
-        model_of_run = per_run([index.setdefault(m, len(index)) for m in models])
-        distinct = list(index)
-        rows = np.empty((horizon, len(distinct), n_ids), np.int64)
-        for lo in range(0, n_ids, SAMPLE_CHUNK):
-            ids = unique_ids[lo:lo + SAMPLE_CHUNK]
-            block = series(distinct, [RngStream(cfg.seed, int(i), (lane,)) for i in ids], horizon)
-            rows[:, :, lo:lo + len(ids)] = block.transpose(2, 0, 1)
-        return rows.reshape(horizon, -1), model_of_run * n_ids + id_row
+    ledgers = np.empty((10, n_runs), np.int64)
+    recorded = np.unique(case_idx, return_index=True)[1].tolist() if record else []
+    watched = np.zeros(n_runs, bool)
+    watched[recorded] = True
+    trajectories: dict[int, np.ndarray] = {}
 
-    demand_by_day, demand_row = sampled_rows([d for _, d, _ in cases], DEMAND_LANE, demand_series)
-    random_lead = not isinstance(cfg.lead_time_mode, Deterministic)
-    if random_lead:
-        lead_by_order, lead_row = sampled_rows(lead_models, LEAD_LANE, lead_time_series)
-    else:
-        fixed_lead = np.maximum(per_run([p.lead_time for p in products]), 1)
+    for k in range(n_blocks):
+        runs = order[bounds[k]:bounds[k + 1]]
+        ids = unique_ids[k * block_ids:(k + 1) * block_ids]
+        run_case = case_idx[runs]
+        id_col = id_row[runs] - k * block_ids
+        demand_by_day = _sampled_rows(demand_models, ids, DEMAND_LANE, demand_series, cfg)
+        demand_row = demand_model_of_case[run_case] * len(ids) + id_col
+        if random_lead:
+            lead_by_order = _sampled_rows(lead_distinct, ids, LEAD_LANE, lead_time_series, cfg)
+            lead_row = lead_model_of_case[run_case] * len(ids) + id_col
+        else:
+            fixed_lead = fixed_lead_of_case[run_case]
 
-    # a policy's two fields: (review period, order-up-to) or (reorder point, quantity)
-    rq = per_run([isinstance(policy, ContinuousReview) for _, _, policy in cases], bool)
-    a, b = np.array([astuple(policy) for _, _, policy in cases], np.int64).T[:, case_idx]
-    any_rq = rq.any()
-    periodic = [(period, np.flatnonzero(~rq & (a == period))) for period in np.unique(a[~rq])]
+        rq, a, b = rq_of_case[run_case], a_of_case[run_case], b_of_case[run_case]
+        any_rq = rq.any()
+        periodic = [(period, np.flatnonzero(~rq & (a == period))) for period in np.unique(a[~rq])]
 
-    on_hand = per_run([p.starting_stock for p in products])
-    arrivals = np.zeros((n_runs, window), np.int64)
-    (on_order, backorders, demand_units, sold_units, unmet_units, served_late, ordered_units,
-     orders_placed, holding_unit_days, total_receipts) = np.zeros((10, n_runs), np.int64)
+        state = np.zeros((10, len(runs)), np.int64)
+        (on_hand, backorders, demand_units, sold_units, unmet_units, served_late, ordered_units,
+         orders_placed, holding_unit_days, total_receipts) = state  # views: updated in place
+        on_hand += stock_of_case[run_case]
+        on_order = np.zeros(len(runs), np.int64)
+        arrivals = np.zeros((window, len(runs)), np.int64)  # a day's receipts are one row
+        watch = np.flatnonzero(watched[runs])
+        trajectory = np.empty((horizon, 7, len(watch)), np.int64)
 
-    records: list[DayRecord] = []
+        for day in range(1, horizon + 1):
+            slot = day % window
+            receipt = arrivals[slot].copy()
+            arrivals[slot] = 0
+            on_hand += receipt
+            on_order -= receipt
+            total_receipts += receipt
 
-    for day in range(1, horizon + 1):
-        slot = day % window
-        receipt = arrivals[:, slot].copy()
-        arrivals[:, slot] = 0
-        on_hand += receipt
-        on_order -= receipt
-        total_receipts += receipt
+            if not lost_sales:
+                fill = np.minimum(on_hand, backorders)
+                on_hand -= fill
+                backorders -= fill
+                served_late += fill
 
-        if not lost_sales:
-            fill = np.minimum(on_hand, backorders)
-            on_hand -= fill
-            backorders -= fill
-            served_late += fill
+            day_demand = demand_by_day[day - 1][demand_row]
+            sold = np.minimum(day_demand, on_hand)
+            on_hand -= sold
+            unmet = day_demand - sold
+            if not lost_sales:
+                backorders += unmet
+            demand_units += day_demand
+            sold_units += sold
+            unmet_units += unmet
 
-        day_demand = demand_by_day[day - 1][demand_row]
-        sold = np.minimum(day_demand, on_hand)
-        on_hand -= sold
-        unmet = day_demand - sold
-        if not lost_sales:
-            backorders += unmet
-        demand_units += day_demand
-        sold_units += sold
-        unmet_units += unmet
+            position = on_hand + on_order - backorders
+            quantity = np.where(rq & (position <= a), b, 0) if any_rq else np.zeros_like(position)
+            for period, due in periodic:
+                if day % period == 0:
+                    quantity[due] = np.maximum(b[due] - position[due], 0)
 
-        position = on_hand + on_order - backorders
-        quantity = np.where(rq & (position <= a), b, 0) if any_rq else np.zeros_like(position)
-        for period, runs in periodic:
-            if day % period == 0:
-                quantity[runs] = np.maximum(b[runs] - position[runs], 0)
+            placing = np.flatnonzero(quantity > 0)
+            if len(placing):
+                if random_lead:
+                    lead = np.maximum(lead_by_order[orders_placed[placing], lead_row[placing]], 1)
+                else:
+                    lead = fixed_lead[placing]
+                arrivals[(day + lead) % window, placing] += quantity[placing]
+                on_order += quantity
+                ordered_units += quantity
+                orders_placed[placing] += 1
 
-        placing = np.flatnonzero(quantity > 0)
-        if len(placing):
-            if random_lead:
-                lead = np.maximum(lead_by_order[orders_placed[placing], lead_row[placing]], 1)
-            else:
-                lead = fixed_lead[placing]
-            arrivals[placing, (day + lead) % window] += quantity[placing]
-            on_order += quantity
-            ordered_units += quantity
-            orders_placed[placing] += 1
+            holding_unit_days += on_hand
 
-        holding_unit_days += on_hand
+            if len(watch):
+                trajectory[day - 1] = [v[watch] for v in (
+                    day_demand, sold, unmet, on_hand, on_order, quantity, receipt)]
 
-        if record:
-            records.append(DayRecord(day, *(int(v[0]) for v in (
-                day_demand, sold, unmet, on_hand, on_order, quantity, receipt))))
+        ledgers[:, runs] = state
+        demand_by_day = lead_by_order = None  # freed before the next block is sampled
+        trajectories.update(zip(runs[watch].tolist(), trajectory.transpose(2, 0, 1)))
 
+    (final_on_hand, final_backorders, demand_units, sold_units, unmet_units, served_late,
+     ordered_units, orders_placed, holding_unit_days, total_receipts) = ledgers
     price, unit_cost, order_cost, daily_holding = np.array(
         [(p.selling_price, p.purchase_cost, p.order_cost, p.holding_cost / DAYS_PER_YEAR)
          for p in products]).T[:, case_idx]
@@ -367,12 +428,13 @@ def _batch_over_reps(
         sold_units=sold_units,
         unmet_units=unmet_units,
         served_late_units=served_late,
-        final_backorders=backorders,
+        final_backorders=final_backorders,
         ordered_units=ordered_units,
         orders_placed=orders_placed,
-        final_on_hand=on_hand,
+        final_on_hand=final_on_hand,
         total_receipts=total_receipts,
-        records=tuple(records),
+        records=tuple(DayRecord(day, *cells) for run in recorded
+                      for day, cells in enumerate(trajectories[run].tolist(), 1)),
     )
 
 
@@ -392,13 +454,14 @@ def simulate_once(
     return _batch_over_reps([(product, demand, policy)], cfg, [0], [replication], record=True)
 
 
-def simulate_cases(cases: Sequence[Case], cfg: SimConfig) -> RunSamples:
+def simulate_cases(cases: Sequence[Case], cfg: SimConfig, record: bool = False) -> RunSamples:
     """cfg.replications runs of each case, case after case; replication i of
-    every case uses stream id i (common random numbers across cases).  The
-    records hold the day trajectory of replication 0 of the first case."""
+    every case uses stream id i (common random numbers across cases).  With
+    `record`, the records hold the day trajectory of replication 0 of every
+    case, case after case, so ``split(len(cases))`` gives each part its own."""
     n = cfg.replications
     return _batch_over_reps(cases, cfg, np.repeat(np.arange(len(cases)), n),
-                            np.tile(np.arange(n, dtype=np.int64), len(cases)), record=True)
+                            np.tile(np.arange(n, dtype=np.int64), len(cases)), record)
 
 
 def replication_samples(
@@ -409,7 +472,7 @@ def replication_samples(
 ) -> RunSamples:
     """Per-run outcomes of cfg.replications runs, with replication 0's day
     trajectory in records; replication i uses stream id i."""
-    return simulate_cases([(product, demand, policy)], cfg)
+    return simulate_cases([(product, demand, policy)], cfg, record=True)
 
 
 def replicate(
@@ -419,7 +482,7 @@ def replicate(
     cfg: SimConfig,
 ) -> ReplicationStats:
     """Monte-Carlo estimate over cfg.replications independent runs."""
-    return replication_samples(product, demand, policy, cfg).stats()
+    return simulate_cases([(product, demand, policy)], cfg).stats()
 
 
 def sweep_oup(

@@ -190,20 +190,45 @@ class TestSimulateCommand:
         assert code == 0
         assert plain == full
 
-    @pytest.mark.parametrize("extra, batches", [
+    @pytest.mark.parametrize("extra, products", [
         ((), 4),
         (("--emit-histogram", "HIST"), 4),
         (("--emit-histogram", "HIST", "--emit-trajectory", "TRAJ"), 4),
     ])
-    def test_one_batch_per_product(self, capsys, monkeypatch, tmp_path, table1_path,
-                                   pq_params_file, extra, batches):
+    def test_one_batch_for_all_products(self, capsys, monkeypatch, tmp_path, table1_path,
+                                        pq_params_file, extra, products):
         calls = count_engine_calls(monkeypatch, simengine)
         paths = {"HIST": str(tmp_path / "h.csv"), "TRAJ": str(tmp_path / "t.csv")}
         code, _, _ = run_cli(capsys, "--catalog", table1_path, "simulate", "--policy", "pq",
                              "--params", pq_params_file, "--replications", "16",
                              *(paths.get(a, a) for a in extra))
         assert code == 0
-        assert calls == [16] * batches
+        assert calls == [products * 16]
+
+    @pytest.mark.parametrize("flag", ["--emit-histogram", "--emit-trajectory"])
+    def test_unwritable_side_file_leaves_no_output(self, capsys, monkeypatch, tmp_path,
+                                                   table1_path, pq_params_file, flag):
+        calls = count_engine_calls(monkeypatch, simengine)
+        out_dir = tmp_path / "out"
+        for where in ((), ("--out-dir", str(out_dir))):
+            code, out, err = run_cli(capsys, "--catalog", table1_path, *where, "simulate",
+                                     "--policy", "pq", "--params", pq_params_file,
+                                     "--replications", "4",
+                                     flag, str(tmp_path / "missing-dir" / "h.csv"))
+            assert code == 2
+            assert out == "" and err.startswith("io:") and "missing-dir" in err
+        assert list(out_dir.iterdir()) == []
+        assert calls == []
+
+    @pytest.mark.parametrize("flag", ["--emit-histogram", "--emit-trajectory", "--out-dir"])
+    def test_empty_output_path_rejected(self, capsys, monkeypatch, table1_path,
+                                        pq_params_file, flag):
+        calls = count_engine_calls(monkeypatch, simengine)
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "simulate", "--policy", "pq",
+                                 "--params", pq_params_file, "--replications", "4", flag, "")
+        assert code == 2
+        assert out == "" and err.startswith("config:") and flag in err
+        assert calls == []
 
     @pytest.mark.parametrize("bins", ["0", "-3"])
     @pytest.mark.parametrize("extra", [(), ("--emit-histogram", "HIST")])
@@ -386,6 +411,15 @@ class TestOptimizeCommand:
 
 
 class TestOptimizeInputs:
+    @pytest.mark.parametrize("flag", ["--bounds", "--conditioning"])
+    def test_empty_file_argument_rejected(self, capsys, monkeypatch, table1_path, flag):
+        calls = count_engine_calls(monkeypatch, objectives)
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "optimize", flag, "",
+                                 "--budget", "5", "--initial-design", "4", "--replications", "2")
+        assert code == 2
+        assert out == "" and err.startswith("io:")
+        assert calls == []
+
     @pytest.mark.parametrize("content", [[1, 5000], [[1, 2, 3]], [["a", 5000]], {"lo": 1}])
     def test_malformed_bounds_rejected(self, capsys, tmp_path, table1_path, content):
         bounds = tmp_path / "bounds.json"

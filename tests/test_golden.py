@@ -8,11 +8,14 @@ for a change that is meant to alter simulated results, and say why.
 """
 
 import hashlib
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from invopt import gpbo
+from invopt import gpbo, simengine
+from invopt.cli import main
 from invopt.gpbo import BoConfig, ConditioningFn, bo_run
 from invopt.objectives import ProfitObjective
 from invopt.sensitivity import SensitivityRow, SensitivitySpec, sensitivity_resim
@@ -169,6 +172,42 @@ def test_sensitivity_resim_golden(catalog):
         row(-0.05, "PrC", 168000.51789954334, 9124.654536655664, 0.004315039176863023, 314.0),
         row(-0.05, "PrD", 351480.4639269406, 37038.82091253958, 5.192107995846314e-06, 345.0),
     ]
+
+
+SIMULATE_FILES_GOLDEN = {
+    "rq": {
+        "simulate.csv": "33258fe8ad0859bfe441f67ea19292ee80529506a02ada242f7ed069a90bded5",
+        "hist.csv": "6e1f8b91202bb5682b31d7707c41871ad9adbe11b5954b71f36f844153098fc4",
+        "traj.csv": "6a3a24ec831ce682eb3eed59b84ba376e7629b97adf285c4b954d019bdd2729d",
+    },
+    "pq": {
+        "simulate.csv": "9e0de6db111b694da5626298a96e42196c97d0ef53c391d47bc361e27e7da49d",
+        "hist.csv": "7cc2fb984af8e0870d81ec1c9c36bd3a8806ee8079771dc921854d6c743544c3",
+        "traj.csv": "dbe1eed6f113e8afd8b7403d700409061aa65d0baa9c5a7067a0fccceb7661b1",
+    },
+}
+
+
+@pytest.mark.parametrize("policy, params", [("rq", RQ_PARAMS), ("pq", PQ_PARAMS)])
+def test_simulate_files_golden(tmp_path, table1_path, policy, params):
+    # data rows (manifest and header dropped) of the report, histogram and
+    # trajectory; 1 000 replications of 4 products span more than one engine block
+    replications = 1000
+    assert replications > simengine.BLOCK_ROWS // len(params)
+    params_file = tmp_path / "params.json"
+    params_file.write_text(json.dumps({name: asdict(p) for name, p in params.items()}))
+    out = tmp_path / "out"
+    assert main(["--catalog", table1_path, "--seed", "7", "--out-dir", str(out), "simulate",
+                 "--policy", policy, "--params", str(params_file),
+                 "--replications", str(replications),
+                 "--emit-histogram", str(out / "hist.csv"),
+                 "--emit-trajectory", str(out / "traj.csv")]) == 0
+    digests = {}
+    for name in SIMULATE_FILES_GOLDEN[policy]:
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        rows = [line for line in lines if not line.startswith("#")][1:]
+        digests[name] = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digests == SIMULATE_FILES_GOLDEN[policy]
 
 
 # --- optimizer trajectories -------------------------------------------------

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from invopt.catalog import Catalog, ProductSpec
+from invopt.catalog import Catalog, ProductSpec, load_catalog
 from invopt.errors import ConfigError, DomainError
 from invopt.simengine import (
     BACKORDER,
@@ -278,10 +278,12 @@ class TestMixedBatch:
     def test_records_are_first_case_replication_zero(self, products, mode):
         cfg = small_cfg(replications=5, horizon=90, **mode)
         cases = self.cases(products)[::-1]  # case 0 under continuous review
-        batch = simulate_cases(cases, cfg)
-        assert len(batch.records) == cfg.horizon
-        assert batch.records == simulate_once(*cases[0], cfg).records
-        assert all(part.records == () for part in batch.split(len(cases)))
+        assert simulate_cases(cases, cfg).records == ()
+        batch = simulate_cases(cases, cfg, record=True)
+        assert len(batch.records) == len(cases) * cfg.horizon
+        assert batch.records[:cfg.horizon] == simulate_once(*cases[0], cfg).records
+        for case, part in zip(cases, batch.split(len(cases))):
+            assert part.records == simulate_once(*case, cfg).records
 
 
 class TestStreamsPerCall:
@@ -335,6 +337,62 @@ class TestStreamsPerCall:
             for f in fields(RunSamples):
                 if isinstance(getattr(batch, f.name), np.ndarray):
                     assert getattr(batch, f.name)[run] == getattr(single, f.name)[0], (f.name, run)
+
+
+class TestBlocks:
+    """The engine samples and advances the runs of one block of replication
+    ids at a time; the blocks change no value and bound the memory."""
+
+    @pytest.mark.parametrize("mode", [
+        {}, {"unmet_demand": BACKORDER}, {"lead_time_mode": MeetOrDelay(0.6, 1.5)},
+        {"unmet_demand": BACKORDER, "lead_time_mode": MeetOrDelay(0.6, 1.5)},
+    ], ids=["lost_sales", "backorder", "meet_or_delay", "backorder_meet_or_delay"])
+    def test_blocks_are_bit_identical(self, monkeypatch, products, mode):
+        cfg = small_cfg(horizon=120, replications=30, **mode)
+        cases = TestMixedBatch.cases(products)  # two demand models, both policy kinds
+        case_idx = np.repeat(np.arange(len(cases)), cfg.replications)
+        rep_ids = np.tile(np.arange(cfg.replications), len(cases))
+        order = np.random.default_rng(5).permutation(len(case_idx))
+        case_idx, rep_ids = case_idx[order], rep_ids[order]
+        monkeypatch.setattr(simengine, "BLOCK_ROWS", 10**9)
+        one_block = _batch_over_reps(cases, cfg, case_idx, rep_ids, record=True)
+
+        sampled, demand_series = [], simengine.demand_series
+
+        def counted(models, streams, n):
+            sampled.append(len(streams))
+            return demand_series(models, streams, n)
+
+        monkeypatch.setattr(simengine, "demand_series", counted)
+        monkeypatch.setattr(simengine, "BLOCK_ROWS", 7)  # two models: 3 ids a block
+        blocked = _batch_over_reps(cases, cfg, case_idx, rep_ids, record=True)
+        assert sampled == [3] * 10
+        TestMixedBatch.assert_same_runs(blocked, one_block)
+        assert blocked.records == one_block.records
+        # the first run of each case in batch order, case after case
+        h = cfg.horizon
+        for c, case in enumerate(cases):
+            first = rep_ids[np.flatnonzero(case_idx == c)[0]]
+            assert blocked.records[c * h:(c + 1) * h] == simulate_once(
+                *case, cfg, int(first)).records
+        parts = simulate_cases(cases, cfg, record=True).split(len(cases))
+        for case, part in zip(cases, parts):
+            assert part.records == simulate_once(*case, cfg).records
+
+    def test_memory_bounded_by_block(self, table1_path):
+        # the whole batch's demand rows would be 4 x 5 000 x 90 int64 (14.4 MB)
+        catalog = load_catalog(table1_path)
+        params = {p.name: ContinuousReview(max(round(p.lead_time_demand), 1), 1000)
+                  for p in catalog}
+        cfg = SimConfig(horizon=90, replications=5000, seed=1)
+        tracemalloc.start()
+        try:
+            runs = simulate_cases(catalog_cases(catalog, params), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(runs.profit) == 4 * 5000
+        assert peak < 10 * 2**20
 
 
 class TestEngineCalls:
