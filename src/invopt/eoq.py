@@ -80,6 +80,8 @@ def safety_stock(
     z: float, demand_std: float, lead_time: float, review_time: float = 0.0
 ) -> int:
     """ceil(z * sigma_d * sqrt(lead_time + review_time)), protective rounding."""
+    if not 0 <= review_time < math.inf:
+        raise DomainError(f"review_time {review_time} must be finite and nonnegative")
     if z < 0 or demand_std < 0 or lead_time + review_time < 0:
         raise DomainError("safety_stock arguments must be nonnegative")
     return math.ceil(z * demand_std * math.sqrt(lead_time + review_time))

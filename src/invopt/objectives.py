@@ -62,8 +62,7 @@ class ProfitObjective:
         cases = [(product, demand_model(product), self._policy(product, int(level)))
                  for row in levels for product, level in zip(self.catalog, row)]
         n = self.cfg.replications
-        runs = _batch_over_reps(cases, self.cfg, np.repeat(np.arange(len(cases)), n),
-                                np.tile(np.arange(n, dtype=np.int64), len(cases)))
+        runs = _batch_over_reps(cases, self.cfg, np.arange(n))
         means = runs.profit.reshape(len(levels), self.dim, n).mean(axis=2)
         return sum(means.T)  # one product at a time, in catalog order (np.sum reassociates)
 

@@ -44,8 +44,8 @@ class RiskReport:
 
 def holding_cost_risk(purchase_cost: float, holding_cost_rate: float) -> float:
     """Purchase cost times the holding-cost rate."""
-    if purchase_cost < 0 or holding_cost_rate < 0:
-        raise DomainError("holding_cost_risk arguments must be nonnegative")
+    if purchase_cost < 0 or not 0 <= holding_cost_rate < math.inf:
+        raise DomainError("holding_cost_risk arguments must be finite and nonnegative")
     return purchase_cost * holding_cost_rate
 
 
@@ -77,6 +77,8 @@ def expected_backorder_cost(
     """(1 - service level) * lead-time demand * backorder cost per unit."""
     if not 0.0 <= service_level <= 1.0:
         raise DomainError(f"service_level {service_level} outside [0, 1]")
+    if not math.isfinite(backorder_cost_per_unit):
+        raise DomainError(f"backorder cost {backorder_cost_per_unit} must be finite")
     return (1.0 - service_level) * lead_time_demand * backorder_cost_per_unit
 
 

@@ -23,26 +23,27 @@ Replications are mutually independent: replication i draws demand from
 stream (seed, i, demand lane) and, under MeetOrDelay only, per-order lead
 times from (seed, i, lead lane), so results are reproducible and independent
 of execution order.  The engine takes cases, (product, demand model, policy)
-triples, and advances every run of every case, periodic and continuous review
-alike, in one lockstep day loop; it returns the per-run outcomes as
-``RunSamples``.
+triples, and a list of replication ids, and runs every case on every id:
+all runs, periodic and continuous review alike, advance in one lockstep day
+loop, and the per-run outcomes come back as ``RunSamples``, case after case.
 Every entry point makes one engine call and reduces it: statistics, sweeps,
 comparisons, histograms and the day trajectory are reductions of that one
-batch.  Runs that share a replication id read the same uniforms (common
-random numbers), so sweep levels and compared policies differ without
-sampling noise between them, and the products of a catalog see comonotone
-demand within a replication.
+batch.  The cases of a batch share its replication ids and so read the same
+uniforms (common random numbers): sweep levels and compared policies differ
+without sampling noise between them, and the products of a catalog see
+comonotone demand within a replication.
 
-The engine takes the distinct replication ids in blocks of at most
-``BLOCK_ROWS`` sampled rows, and samples and advances one block's runs at a
-time, so its memory does not grow with the number of replications.
+The engine takes the replication ids in consecutive blocks of at most
+``BLOCK_ROWS`` sampled rows, and samples and advances every case's runs on
+one block at a time, so its memory does not grow with the number of
+replications.
 
 Day trajectories are opt-in.  A batch asked to record keeps, in ``records``,
-the trajectory of the first run of every case, case after case; ``split``
-gives each part its case's trajectory.  ``simulate_once(product, demand,
-policy, cfg, replication=0)`` is the one-run batch: replication
-``replication`` under ``cfg.seed``, returned as a ``RunSamples`` of length 1
-with its trajectory.
+the trajectory of every case on the batch's first replication id, case after
+case; ``split`` gives each part its case's trajectory.
+``simulate_once(product, demand, policy, cfg, replication=0)`` is the one-run
+batch: replication ``replication`` under ``cfg.seed``, returned as a
+``RunSamples`` of length 1 with its trajectory.
 """
 
 from __future__ import annotations
@@ -177,7 +178,8 @@ class RunSamples:
     that was never served is the lost units or the backorders still queued
     at the horizon.  ``records`` is empty unless the batch was asked to
     record (``simulate_once``, ``simulate_cases(..., record=True)``); then it
-    holds the day trajectory of the first run of every case, case after case.
+    holds the day trajectory of every case on the batch's first replication
+    id, case after case.
     """
 
     unmet_demand: str
@@ -276,29 +278,26 @@ def _sampled_rows(models: Sequence, ids: np.ndarray, lane: int, series,
 def _batch_over_reps(
     cases: Sequence[Case],
     cfg: SimConfig,
-    case_idx: np.ndarray,
-    rep_ids: np.ndarray,
+    rep_ids: Sequence[int],
     record: bool = False,
 ) -> RunSamples:
-    """Advance one run per (case_idx[i], rep_ids[i]) in lockstep for cfg.horizon days.
+    """Advance every case on every replication id in lockstep for cfg.horizon days.
 
-    A case is a (product, demand model, policy) triple; run i takes its
-    economics, starting stock, lead time and policy from case case_idx[i].
-    rep_ids address the runs' random streams: runs with the same id read the
-    same demand and lead-time rows (common random numbers).  Each distinct id's
+    A case is a (product, demand model, policy) triple; run c * len(rep_ids) + j
+    is case c on stream id rep_ids[j], case after case.  Runs with the same id
+    read the same demand and lead-time rows (common random numbers).  Each id's
     demand stream, and its lead-time stream when lead times are random, is
     built and drawn once; the block transforms turn its uniforms into the row
     of every distinct demand model (lead-time model) of the batch.
 
-    The distinct ids are taken in consecutive blocks of at most BLOCK_ROWS
-    sampled rows (distinct models x ids).  Each block's rows are sampled, the
-    runs that read them go through the day loop, and their finished ledgers
-    are written into the batch's arrays.  A run's arithmetic is elementwise,
-    so the blocks change no value.  With `record`, ``records`` holds the day
-    trajectory of the first run of every case, case after case.
+    The ids are taken in consecutive blocks of at most BLOCK_ROWS sampled rows
+    (distinct models x ids).  Each block's rows are sampled, every case's runs
+    on them go through the day loop, and their finished ledgers fill the
+    block's columns of the batch.  A run's arithmetic is elementwise, so the
+    blocks change no value.  With `record`, ``records`` holds the day
+    trajectory of every case on rep_ids[0], case after case.
     """
-    case_idx = np.asarray(case_idx, dtype=np.int64)
-    n_runs = len(case_idx)
+    rep_ids = np.asarray(rep_ids, np.int64)
     horizon = cfg.horizon
     lost_sales = cfg.unmet_demand == LOST_SALES
     random_lead = not isinstance(cfg.lead_time_mode, Deterministic)
@@ -315,44 +314,36 @@ def _batch_over_reps(
     rq_of_case = np.array([isinstance(policy, ContinuousReview) for _, _, policy in cases])
     a_of_case, b_of_case = np.array([astuple(policy) for _, _, policy in cases], np.int64).T
 
-    unique_ids, id_row = np.unique(np.asarray(rep_ids, np.int64), return_inverse=True)
     rows_per_id = max(len(demand_models), len(lead_distinct) if random_lead else 1)
     block_ids = max(BLOCK_ROWS // rows_per_id, 1)
-    block_of_run = id_row // block_ids
-    order = np.argsort(block_of_run, kind="stable")  # each block's runs in batch order
-    n_blocks = -(-len(unique_ids) // block_ids)
-    bounds = np.searchsorted(block_of_run[order], np.arange(n_blocks + 1))
+    ledgers = np.empty((10, len(cases), len(rep_ids)), np.int64)
+    records: list[DayRecord] = []
 
-    ledgers = np.empty((10, n_runs), np.int64)
-    recorded = np.unique(case_idx, return_index=True)[1].tolist() if record else []
-    watched = np.zeros(n_runs, bool)
-    watched[recorded] = True
-    trajectories: dict[int, np.ndarray] = {}
-
-    for k in range(n_blocks):
-        runs = order[bounds[k]:bounds[k + 1]]
-        ids = unique_ids[k * block_ids:(k + 1) * block_ids]
-        run_case = case_idx[runs]
-        id_col = id_row[runs] - k * block_ids
+    for lo in range(0, len(rep_ids), block_ids):
+        ids = rep_ids[lo:lo + block_ids]
+        n_ids = len(ids)
+        n_runs = len(cases) * n_ids
+        id_col = np.tile(np.arange(n_ids), len(cases))
         demand_by_day = _sampled_rows(demand_models, ids, DEMAND_LANE, demand_series, cfg)
-        demand_row = demand_model_of_case[run_case] * len(ids) + id_col
+        demand_row = np.repeat(demand_model_of_case * n_ids, n_ids) + id_col
         if random_lead:
             lead_by_order = _sampled_rows(lead_distinct, ids, LEAD_LANE, lead_time_series, cfg)
-            lead_row = lead_model_of_case[run_case] * len(ids) + id_col
+            lead_row = np.repeat(lead_model_of_case * n_ids, n_ids) + id_col
         else:
-            fixed_lead = fixed_lead_of_case[run_case]
+            fixed_lead = np.repeat(fixed_lead_of_case, n_ids)
 
-        rq, a, b = rq_of_case[run_case], a_of_case[run_case], b_of_case[run_case]
+        rq, a, b = (np.repeat(of_case, n_ids) for of_case in (rq_of_case, a_of_case, b_of_case))
         any_rq = rq.any()
         periodic = [(period, np.flatnonzero(~rq & (a == period))) for period in np.unique(a[~rq])]
 
-        state = np.zeros((10, len(runs)), np.int64)
+        state = np.zeros((10, n_runs), np.int64)
         (on_hand, backorders, demand_units, sold_units, unmet_units, served_late, ordered_units,
          orders_placed, holding_unit_days, total_receipts) = state  # views: updated in place
-        on_hand += stock_of_case[run_case]
-        on_order = np.zeros(len(runs), np.int64)
-        arrivals = np.zeros((window, len(runs)), np.int64)  # a day's receipts are one row
-        watch = np.flatnonzero(watched[runs])
+        on_hand += np.repeat(stock_of_case, n_ids)
+        on_order = np.zeros(n_runs, np.int64)
+        arrivals = np.zeros((window, n_runs), np.int64)  # a day's receipts are one row
+        # each case's run on rep_ids[0]: column c * n_ids of the first block
+        watch = np.arange(0, n_runs, n_ids) if record and lo == 0 else np.arange(0)
         trajectory = np.empty((horizon, 7, len(watch)), np.int64)
 
         for day in range(1, horizon + 1):
@@ -402,15 +393,17 @@ def _batch_over_reps(
                 trajectory[day - 1] = [v[watch] for v in (
                     day_demand, sold, unmet, on_hand, on_order, quantity, receipt)]
 
-        ledgers[:, runs] = state
+        ledgers[:, :, lo:lo + n_ids] = state.reshape(10, len(cases), n_ids)
         demand_by_day = lead_by_order = None  # freed before the next block is sampled
-        trajectories.update(zip(runs[watch].tolist(), trajectory.transpose(2, 0, 1)))
+        if len(watch):
+            records = [DayRecord(day, *cells) for run in trajectory.transpose(2, 0, 1).tolist()
+                       for day, cells in enumerate(run, 1)]
 
     (final_on_hand, final_backorders, demand_units, sold_units, unmet_units, served_late,
-     ordered_units, orders_placed, holding_unit_days, total_receipts) = ledgers
-    price, unit_cost, order_cost, daily_holding = np.array(
+     ordered_units, orders_placed, holding_unit_days, total_receipts) = ledgers.reshape(10, -1)
+    price, unit_cost, order_cost, daily_holding = np.repeat(np.array(
         [(p.selling_price, p.purchase_cost, p.order_cost, p.holding_cost / DAYS_PER_YEAR)
-         for p in products]).T[:, case_idx]
+         for p in products]).T, len(rep_ids), axis=1)
     revenue = (sold_units + served_late) * price
     product_costs = ordered_units * unit_cost
     ordering_costs = orders_placed * order_cost
@@ -433,8 +426,7 @@ def _batch_over_reps(
         orders_placed=orders_placed,
         final_on_hand=final_on_hand,
         total_receipts=total_receipts,
-        records=tuple(DayRecord(day, *cells) for run in recorded
-                      for day, cells in enumerate(trajectories[run].tolist(), 1)),
+        records=tuple(records),
     )
 
 
@@ -451,17 +443,16 @@ def simulate_once(
     run equals run `replication` of any batch of the same case and seed.
     cfg.replications is not read.
     """
-    return _batch_over_reps([(product, demand, policy)], cfg, [0], [replication], record=True)
+    return _batch_over_reps([(product, demand, policy)], cfg, [replication], record=True)
 
 
 def simulate_cases(cases: Sequence[Case], cfg: SimConfig, record: bool = False) -> RunSamples:
-    """cfg.replications runs of each case, case after case; replication i of
-    every case uses stream id i (common random numbers across cases).  With
-    `record`, the records hold the day trajectory of replication 0 of every
-    case, case after case, so ``split(len(cases))`` gives each part its own."""
-    n = cfg.replications
-    return _batch_over_reps(cases, cfg, np.repeat(np.arange(len(cases)), n),
-                            np.tile(np.arange(n, dtype=np.int64), len(cases)), record)
+    """cfg.replications runs of each case, case after case: run
+    c * cfg.replications + i is case c on stream id i (common random numbers
+    across cases).  With `record`, the records hold the day trajectory of
+    replication 0 of every case, case after case, so ``split(len(cases))``
+    gives each part its own."""
+    return _batch_over_reps(cases, cfg, np.arange(cfg.replications), record)
 
 
 def replication_samples(

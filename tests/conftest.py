@@ -42,8 +42,9 @@ def count_engine_calls(monkeypatch, module) -> list[int]:
     engine = module._batch_over_reps
 
     def counted(*args, **kwargs):
-        calls.append(len(args[3]))  # rep_ids
-        return engine(*args, **kwargs)
+        result = engine(*args, **kwargs)
+        calls.append(len(result.profit))
+        return result
 
     monkeypatch.setattr(module, "_batch_over_reps", counted)
     return calls

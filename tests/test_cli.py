@@ -128,6 +128,14 @@ class TestEoqCommand:
         _, second, _ = run_cli(capsys, "--catalog", table1_path, "eoq")
         assert first == second
 
+    @pytest.mark.parametrize("value", ["-5", "-0.5", "nan", "inf", "-inf"])
+    def test_bad_review_time_rejected(self, capsys, table1_path, value):
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "eoq",
+                                 f"--review-time={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validate:") and "review_time" in err
+
 
 class TestRiskCommand:
     def test_report_shape(self, capsys, table1_path):
@@ -138,6 +146,14 @@ class TestRiskCommand:
         cells = {l.split(",")[0]: l.split(",") for l in data_lines[1:]}
         assert cells["PrB"][1] == "7.00"      # hcr at unit rate
         assert cells["PrD"][3] == "1"          # riskiest supplier rank
+
+    @pytest.mark.parametrize("flag", ["--holding-cost-rate", "--backorder-cost"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_costs_rejected(self, capsys, table1_path, flag, value):
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "risk", f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validate:") and "must be finite" in err
 
 
 class TestSimulateCommand:

@@ -268,10 +268,9 @@ class TestMixedBatch:
     def test_run_order_does_not_matter(self, products):
         cfg = small_cfg(replications=6, lead_time_mode=MeetOrDelay(0.5, 1.5))
         cases = self.cases(products)
-        case_idx = np.repeat(np.arange(len(cases)), 6)
-        rep_ids = np.tile(np.arange(6), len(cases))
-        order = np.random.default_rng(3).permutation(len(case_idx))
-        shuffled = _batch_over_reps(cases, cfg, case_idx[order], rep_ids[order])
+        ids = np.random.default_rng(3).permutation(6)
+        shuffled = _batch_over_reps(cases, cfg, ids)
+        order = (np.arange(len(cases))[:, None] * 6 + ids).ravel()  # run c * 6 + j: case c, ids[j]
         self.assert_same_runs(shuffled, simulate_cases(cases, cfg), order)
 
     @modes
@@ -325,15 +324,13 @@ class TestStreamsPerCall:
                  (prc, demand_model(prc), PeriodicReview(20, 4154)),
                  (pra, DemandModel.from_moments(0.9, 80.0, 0.0), PeriodicReview(30, 2071))]
         chunk = simengine.SAMPLE_CHUNK
-        ids = [[0, 3, chunk - 1, chunk, 2 * chunk + 5],
-               [3, 4, chunk, chunk + 1, 3 * chunk],
-               [chunk - 1, 2 * chunk + 5, 3 * chunk, 3 * chunk + 2]]
-        case_idx = np.concatenate([[c] * len(i) for c, i in enumerate(ids)])
-        rep_ids = np.concatenate(ids)
+        # unsorted, not contiguous, and across SAMPLE_CHUNK boundaries
+        rep_ids = [3 * chunk, 0, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 5, 3 * chunk + 2]
         cfg = small_cfg(horizon=120, **mode)
-        batch = _batch_over_reps(cases, cfg, case_idx, rep_ids)
-        for run, (c, rep) in enumerate(zip(case_idx, rep_ids)):
-            single = simulate_once(*cases[c], cfg, int(rep))
+        batch = _batch_over_reps(cases, cfg, rep_ids)
+        runs = [(c, rep) for c in range(len(cases)) for rep in rep_ids]
+        for run, (c, rep) in enumerate(runs):
+            single = simulate_once(*cases[c], cfg, rep)
             for f in fields(RunSamples):
                 if isinstance(getattr(batch, f.name), np.ndarray):
                     assert getattr(batch, f.name)[run] == getattr(single, f.name)[0], (f.name, run)
@@ -350,12 +347,9 @@ class TestBlocks:
     def test_blocks_are_bit_identical(self, monkeypatch, products, mode):
         cfg = small_cfg(horizon=120, replications=30, **mode)
         cases = TestMixedBatch.cases(products)  # two demand models, both policy kinds
-        case_idx = np.repeat(np.arange(len(cases)), cfg.replications)
-        rep_ids = np.tile(np.arange(cfg.replications), len(cases))
-        order = np.random.default_rng(5).permutation(len(case_idx))
-        case_idx, rep_ids = case_idx[order], rep_ids[order]
+        rep_ids = np.random.default_rng(5).permutation(cfg.replications)
         monkeypatch.setattr(simengine, "BLOCK_ROWS", 10**9)
-        one_block = _batch_over_reps(cases, cfg, case_idx, rep_ids, record=True)
+        one_block = _batch_over_reps(cases, cfg, rep_ids, record=True)
 
         sampled, demand_series = [], simengine.demand_series
 
@@ -365,16 +359,15 @@ class TestBlocks:
 
         monkeypatch.setattr(simengine, "demand_series", counted)
         monkeypatch.setattr(simengine, "BLOCK_ROWS", 7)  # two models: 3 ids a block
-        blocked = _batch_over_reps(cases, cfg, case_idx, rep_ids, record=True)
+        blocked = _batch_over_reps(cases, cfg, rep_ids, record=True)
         assert sampled == [3] * 10
         TestMixedBatch.assert_same_runs(blocked, one_block)
         assert blocked.records == one_block.records
-        # the first run of each case in batch order, case after case
+        # every case's run on rep_ids[0], case after case
         h = cfg.horizon
         for c, case in enumerate(cases):
-            first = rep_ids[np.flatnonzero(case_idx == c)[0]]
             assert blocked.records[c * h:(c + 1) * h] == simulate_once(
-                *case, cfg, int(first)).records
+                *case, cfg, int(rep_ids[0])).records
         parts = simulate_cases(cases, cfg, record=True).split(len(cases))
         for case, part in zip(cases, parts):
             assert part.records == simulate_once(*case, cfg).records

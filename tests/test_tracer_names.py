@@ -13,6 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from invopt import cli, objectives
+from invopt.simengine import ContinuousReview, SimConfig, demand_model
+
 TRACER_PATH = Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
 
@@ -36,3 +39,29 @@ def test_traced_name_exists(name):
     assert hasattr(importlib.import_module(f"invopt.{module}"), attr), (
         f"perfbench/tracer.py needs invopt.{name}; without it the per-layer "
         f"metrics that use it are reported absent")
+
+
+def test_engine_wrappers_bind(pra):
+    """The tracer binds each engine entry's arguments by name (``cfg``,
+    ``rep_ids``); a renamed parameter would fail every traced command."""
+    modules = {
+        "cli": types.SimpleNamespace(
+            __name__="invopt.cli", replicate=cli.replicate,
+            replication_samples=cli.replication_samples, simulate_once=cli.simulate_once),
+        "objectives": types.SimpleNamespace(
+            __name__="invopt.objectives", _batch_over_reps=objectives._batch_over_reps),
+    }
+    tracer = _load_tracer().Tracer()
+    tracer.install_engine(modules)
+    assert tracer.missing == []
+
+    case = (pra, demand_model(pra), ContinuousReview(870, 1440))
+    cfg = SimConfig(horizon=10, replications=3, seed=7)
+    traced = modules["cli"]
+    assert traced.replicate(*case, cfg) == cli.replicate(*case, cfg)
+    assert traced.replication_samples(*case, cfg).records == cli.simulate_once(*case, cfg).records
+    assert traced.simulate_once(*case, cfg, replication=2).profit == cli.simulate_once(
+        *case, cfg, 2).profit
+    batch = modules["objectives"]._batch_over_reps([case, case], cfg, [0, 1])
+    assert (batch.profit == objectives._batch_over_reps([case, case], cfg, [0, 1]).profit).all()
+    assert tracer.counts["engine.calls"] == 4
