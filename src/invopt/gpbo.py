@@ -13,6 +13,11 @@ its training inputs divided by the length scales (with their squared row
 norms), so a posterior query computes only the cross terms.  A fit keeps no
 state between calls: it depends only on its data, conditioning, input bounds
 and seed, so each optimization step refits from the same starts.
+
+A proposal scores a scrambled-Sobol sweep of the box and refines the best
+candidates by L-BFGS-B in unit-box coordinates, with the closed-form gradient
+of EI or PI (through the SE kernel and the conditioning bumps) instead of
+finite differences.
 """
 
 from __future__ import annotations
@@ -118,6 +123,16 @@ class ConditioningFn:
         sq = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         bumps = np.exp(-0.5 * sq / widths**2)
         return self.alpha * bumps @ weights
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """d kappa / dx at one point x of shape (d,):
+        -alpha * sum_j w_j b_j(x) (x - c_j) / h_j^2."""
+        if not self.centers:
+            return np.zeros(len(x))
+        diff = x - np.asarray(self.centers, float)
+        inv_h2 = 1.0 / np.asarray(self.widths, float) ** 2
+        bumps = np.exp(-0.5 * np.sum(diff * diff, axis=1) * inv_h2)
+        return -self.alpha * (np.asarray(self.weights, float) * bumps * inv_h2) @ diff
 
 
 def _kappa(conditioning: ConditioningFn | None, x: np.ndarray) -> np.ndarray:
@@ -236,6 +251,13 @@ def _query_points(model: GpModel, x) -> tuple[np.ndarray, bool]:
 
 def _moments(model: GpModel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at validated (m, d) points."""
+    mean, var, _, _, _ = _posterior_terms(model, pts)
+    return mean, var
+
+
+def _posterior_terms(model: GpModel, pts: np.ndarray):
+    """Mean and variance at validated (m, d) points, with the terms a gradient
+    reuses: the scaled points a = pts / l, k* = k(pts, X) and v = L^-1 k*^T."""
     a = pts / np.asarray(model.kernel.length_scales)
     sq = (a * a).sum(1)[:, None] + model.x_sq[None, :] - 2.0 * a @ model.x_scaled.T
     k_star = model.kernel.signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
@@ -246,7 +268,7 @@ def _moments(model: GpModel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # L v = k*^T, solved as solve_triangular does for a C-ordered factor
     v, _ = dtrtrs(model.chol.T, k_star.T, lower=False, trans=True)
     var = np.maximum(model.kernel.signal_variance - (v * v).sum(0), 0.0)
-    return mean, var
+    return mean, var, a, k_star, v
 
 
 def _neg_lml_and_grad(theta: np.ndarray, sqd: np.ndarray, y: np.ndarray):
@@ -424,12 +446,52 @@ def probability_of_improvement(
 ) -> float | np.ndarray:
     """Phi(z): probability that x improves on the incumbent."""
     pts, single = _query_points(model, x)
-    mean, var = _moments(model, pts)
+    out = _pi_from_moments(*_moments(model, pts), f_best, direction)
+    return float(out[0]) if single else out
+
+
+def _pi_from_moments(mean, var, f_best: float, direction: str):
     improve = _improvement(mean, f_best, direction)
     sd = np.sqrt(var)
     z = np.where(sd > 0, improve / np.where(sd > 0, sd, 1.0), np.where(improve > 0, np.inf, -np.inf))
-    out = ndtr(z)
-    return float(out[0]) if single else out
+    return ndtr(z)
+
+
+def _acquisition_and_grad(
+    model: GpModel, x: np.ndarray, f_best: float, direction: str, acquisition: str
+) -> tuple[float, np.ndarray]:
+    """EI ("ei") or PI ("pi") at one point x of shape (d,), and its gradient.
+
+    With the SE kernel, dk_i/dx = -k_i (x - X_i) / l^2, so
+    d mean = d kappa + alpha^T dk and d var = -2 (K^-1 k)^T dk; then
+    d EI = Phi(z) d improve + phi(z) d sd and
+    d PI = phi(z) (d improve - z d sd) / sd.  A point with zero variance
+    has EI = max(improve, 0), and takes that function's gradient.
+    """
+    mean, var, a, k_star, v = _posterior_terms(model, x[None, :])
+    if acquisition == "ei":
+        value = float(_ei_from_moments(mean, var, f_best, direction)[0])
+    else:
+        value = float(_pi_from_moments(mean, var, f_best, direction)[0])
+    improve = float(_improvement(mean[0], f_best, direction))
+    # K^-1 k = L^-T v; the rows of (x_scaled - a) / l * k are dk_i/dx
+    k_inv_k, _ = dtrtrs(model.chol.T, v, lower=False)
+    weights = np.vstack((model.alpha_vec, -2.0 * k_inv_k[:, 0])) * k_star
+    d_mean, d_var = weights @ (model.x_scaled - a) / np.asarray(model.kernel.length_scales)
+    if model.conditioning is not None:
+        d_mean = d_mean + model.conditioning.gradient(x)
+    d_improve = d_mean if direction == "maximize" else -d_mean
+    sd = math.sqrt(var[0])
+    if sd == 0.0:
+        if acquisition == "ei" and improve > 0.0:
+            return value, d_improve
+        return value, np.zeros_like(d_improve)
+    z = improve / sd
+    d_sd = d_var / (2.0 * sd)
+    pdf = math.exp(-0.5 * z * z) / _SQRT_2PI
+    if acquisition == "ei":
+        return value, float(ndtr(z)) * d_improve + pdf * d_sd
+    return value, pdf * (d_improve - z * d_sd) / sd
 
 
 @dataclass(frozen=True)
@@ -490,6 +552,8 @@ def propose_next(
     """Acquisition argmax over the box: a scrambled-Sobol candidate sweep
     followed by local refinement of the best candidates.
 
+    Each refinement is an L-BFGS-B run in unit-box coordinates, started at
+    the candidate's Sobol point, with the acquisition's analytic gradient.
     Deterministic for a fixed seed.  Ties within 1e-12 of the maximum break
     toward the lexicographically smallest point; if the acquisition is zero
     everywhere (no predicted improvement), the candidate with the best
@@ -500,7 +564,8 @@ def propose_next(
                        else np.min(model.y_train))
     sampler = qmc.Sobol(cfg.dim, scramble=True, seed=cfg.seed if seed is None else seed)
     base = sampler.random_base2(int(math.log2(N_CANDIDATES)))
-    candidates = cfg.lo + base * (cfg.hi - cfg.lo)
+    lo, span = cfg.lo, cfg.hi - cfg.lo
+    candidates = lo + base * span
     acquire = expected_improvement if cfg.acquisition == "ei" else probability_of_improvement
     acq = acquire(model, candidates, f_best, direction)
 
@@ -513,14 +578,16 @@ def propose_next(
     pool_pts = [candidates]
     pool_acq = [acq]
     top = np.argsort(acq)[-REFINE_TOP:]
-    box = [(float(l), float(h)) for l, h in cfg.bounds]
 
-    def neg_acq(z: np.ndarray) -> float:
-        return -float(acquire(model, z[None, :], f_best, direction)[0])
+    def neg_acq_and_grad(u: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = _acquisition_and_grad(model, lo + u * span, f_best, direction,
+                                            cfg.acquisition)
+        return -value, -grad * span
 
     for idx in top:
-        res = minimize(neg_acq, candidates[idx], method="L-BFGS-B", bounds=box)
-        z = np.clip(res.x, cfg.lo, cfg.hi)
+        res = minimize(neg_acq_and_grad, base[idx], method="L-BFGS-B", jac=True,
+                       bounds=[(0.0, 1.0)] * cfg.dim)
+        z = np.clip(lo + res.x * span, lo, cfg.hi)
         pool_pts.append(z[None, :])
         pool_acq.append(np.array([-res.fun]))
 

@@ -255,17 +255,17 @@ def test_bo_run_rq_golden(catalog, monkeypatch):
     monkeypatch.setattr(gpbo, "propose_next", flagged_propose)
     result = profit_run(catalog)
     assert history_digest(result) == (
-        "aab003d774a4a1c8ce5c437b410ae06962ab33ac339e5708769b27380724886c")
-    assert (len(nfev), sum(nfev)) == (96, 19210)
+        "af043d1923a26421e9b32571c37a917fb2e9dae3ddba2bf35d4014f5c117d1ea")
+    assert (len(nfev), sum(nfev)) == (96, 2139)
 
 
 @pytest.mark.parametrize("run, digest", [
     pytest.param(lambda c: profit_run(c, mode="oup", budget=16),
-                 "3d78473f56a645def69c796b46fc851f4ac0bebf4ecc56c7a2316696e095b2bf", id="oup"),
+                 "6b30186d99521f725797a53948b4d38c7833f14b53606b6279da6c47201d6fa1", id="oup"),
     pytest.param(lambda c: profit_run(c, budget=16, acquisition="pi"),
-                 "6139b3ece6e10a50d128e68a9ee9de84eea933afae025545f3e78a5ecd4c4a61", id="pi"),
+                 "9bd33ef7092129b81aeb5cbe551f8f7a4b97914d2d029331f18898ece801a72d", id="pi"),
     pytest.param(lambda c: profit_run(c, budget=16, conditioning=BUMP),
-                 "a4805cab063903363893f56bd36d2f9f15ea0f1619532f377985e9cc8396c379",
+                 "68216a7666ef3c4c4e6efbd6512a7550c603e24e67aca5666cd9514a3d876683",
                  id="conditioning"),
 ])
 def test_bo_run_profit_golden(catalog, run, digest):
@@ -277,4 +277,4 @@ def test_bo_run_minimize_1d_golden():
     result = bo_run(lambda x: float((x[0] - 0.3) ** 2 + 0.1 * np.sin(20 * x[0])), cfg,
                     direction="minimize")
     assert history_digest(result) == (
-        "89fbd9b51ada42bf8392defc8b2b192f3daf2952a3c9960172ddb841cd62a7ec")
+        "63db2642391f2c815ab53151a57a8c0588503ccf77d30dedbcdc0a0e9795c32b")

@@ -13,6 +13,7 @@ from invopt.gpbo import (
     GpModel,
     Kernel,
     ObjectiveError,
+    _acquisition_and_grad,
     _ei_from_moments,
     bo_run,
     condition_mvn,
@@ -373,6 +374,75 @@ class TestExpectedImprovement:
                               Kernel(1.0, (0.3,)), 0.01)
         with pytest.raises(DomainError):
             acquisition(model, x, 1.0)
+
+
+def central_differences(fn, p, h=1e-6):
+    return np.array([(fn(p + h * e) - fn(p - h * e)) / (2 * h) for e in np.eye(len(p))])
+
+
+class TestAcquisitionGradient:
+    """_acquisition_and_grad: the value propose_next's refinement maximizes
+    and its analytic gradient."""
+
+    @staticmethod
+    def _model(dim, conditioned):
+        rng = np.random.default_rng(dim)
+        x = rng.uniform(size=(8 * dim, dim))
+        y = np.sin(3.0 * x).sum(1)
+        conditioning = ConditioningFn(
+            1.5, centers=(tuple(rng.uniform(size=dim)), tuple(rng.uniform(size=dim))),
+            widths=(0.3, 0.5), weights=(1.0, -0.5)) if conditioned else None
+        kernel = Kernel(1.3, tuple(rng.uniform(0.3, 0.8, size=dim)))
+        return GpModel.build(x, y, kernel, 1e-4, conditioning=conditioning), float(np.median(y))
+
+    @pytest.mark.parametrize("name, acquisition", [
+        ("ei", expected_improvement), ("pi", probability_of_improvement)])
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    @pytest.mark.parametrize("conditioned", [False, True], ids=["plain", "conditioned"])
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_value_and_central_differences(self, dim, conditioned, direction, name,
+                                           acquisition):
+        model, f_best = self._model(dim, conditioned)
+
+        def value_at(p):
+            return acquisition(model, p, f_best, direction)
+
+        # Where Phi(z) is within 1e-6 of 0 or 1 the acquisition is flat to
+        # rounding, and central differences measure that rounding, not the slope.
+        rng = np.random.default_rng(100 + dim)
+        points = [p for p in rng.uniform(size=(400, dim))
+                  if 1e-6 < probability_of_improvement(model, p, f_best, direction) < 1 - 1e-6]
+        assert len(points) >= 5
+        for p in points[:5]:
+            value, grad = _acquisition_and_grad(model, p, f_best, direction, name)
+            assert value == pytest.approx(value_at(p), rel=1e-12)
+            central = central_differences(value_at, p)
+            assert np.max(np.abs(grad - central)) <= 1e-6 * np.max(np.abs(central))
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_zero_variance_at_noise_free_training_point(self, direction):
+        # dyadic inputs and length scales: the variance at x[0] is exactly 0
+        x = np.array([[0.25, 0.5], [0.75, 0.25]])
+        bump = ConditioningFn(2.0, centers=((0.5, 0.75),), widths=(0.4,), weights=(1.0,))
+        model = GpModel.build(x, np.array([1.0, 3.0]), Kernel(1.0, (0.0625, 0.0625)), 0.0,
+                              conditioning=bump)
+        p = x[0]
+        assert gp_posterior(model, p)[1] == 0.0
+        sign = 1.0 if direction == "maximize" else -1.0
+        f_best = 1.0 - 0.5 * sign  # p improves on it by 0.5
+
+        value, grad = _acquisition_and_grad(model, p, f_best, direction, "ei")
+        assert value == expected_improvement(model, p, f_best, direction) == pytest.approx(0.5)
+        slope = central_differences(lambda q: expected_improvement(model, q, f_best, direction), p)
+        assert np.abs(grad).min() > 0.1  # the bump's slope, not a zero vector
+        np.testing.assert_allclose(grad, slope, rtol=1e-6)
+
+        worse = f_best + sign  # p falls short of it by 0.5
+        value, grad = _acquisition_and_grad(model, p, worse, direction, "ei")
+        assert value == 0.0 and not grad.any()
+        for incumbent, expected in ((f_best, 1.0), (worse, 0.0)):
+            value, grad = _acquisition_and_grad(model, p, incumbent, direction, "pi")
+            assert value == expected and not grad.any()
 
 
 class TestProposeNext:

@@ -11,9 +11,10 @@ import importlib
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from invopt import cli, objectives
+from invopt import cli, gpbo, objectives
 from invopt.simengine import ContinuousReview, SimConfig, demand_model
 
 TRACER_PATH = Path(__file__).parents[1] / "perfbench" / "tracer.py"
@@ -65,3 +66,19 @@ def test_engine_wrappers_bind(pra):
     batch = modules["objectives"]._batch_over_reps([case, case], cfg, [0, 1])
     assert (batch.profit == objectives._batch_over_reps([case, case], cfg, [0, 1]).profit).all()
     assert tracer.counts["engine.calls"] == 4
+
+
+def test_proposal_lbfgs_counted(monkeypatch):
+    """The tracer counts propose_next's L-BFGS-B runs where it calls the module
+    global ``gpbo.minimize``.  If it stopped calling that name, lbfgs_runs and
+    lbfgs_nfev would read 0 rather than absent."""
+    tracer = _load_tracer().Tracer()
+    monkeypatch.setattr(gpbo, "minimize", tracer.minimizer(gpbo.minimize))
+    monkeypatch.setattr(gpbo, "propose_next", tracer.proposer(gpbo.propose_next))
+    x = np.array([[0.1], [0.4], [0.6], [0.9]])
+    cfg = gpbo.BoConfig(bounds=((0.0, 1.0),), budget=5, initial_design=4, seed=1)
+    model = gpbo.gp_fit(x, np.sin(6.0 * x[:, 0]), input_bounds=cfg.bounds)
+    assert tracer.counts["lbfgs.runs"] == 0  # gp_fit's own searches are not counted
+    gpbo.propose_next(model, cfg)
+    assert tracer.counts["lbfgs.runs"] == gpbo.REFINE_TOP
+    assert tracer.counts["lbfgs.nfev"] > 0
