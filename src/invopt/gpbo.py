@@ -8,11 +8,15 @@ shifts the prior mean to encode prior beliefs about promising regions;
 setting it to None (or giving it no centers) recovers plain GP regression.
 Hyperparameters are chosen by maximizing the log marginal likelihood with
 multi-start L-BFGS-B on inputs scaled to the unit box and standardized
-outputs; the fitted model stores everything in original units, and caches
-its training inputs divided by the length scales (with their squared row
-norms), so a posterior query computes only the cross terms.  A fit keeps no
-state between calls: it depends only on its data, conditioning, input bounds
-and seed, so each optimization step refits from the same starts.
+outputs.  The likelihood and its gradient are evaluated on raw LAPACK: the
+squared input differences are built once per fit as an (n*n, d) array, K is
+factored by dpotrf, and K^-1 is formed from dtrtri's triangular inverse, whose
+bits do not depend on the BLAS thread count.  The fitted model stores
+everything in original units, and caches its training inputs divided by the
+length scales (with their squared row norms), so a posterior query computes
+only the cross terms.  A fit keeps no state between calls: it depends only on
+its data, conditioning, input bounds and seed, so each optimization step
+refits from the same starts.
 
 A proposal scores a scrambled-Sobol sweep of the box and refines the best
 candidates by L-BFGS-B in unit-box coordinates, with the closed-form gradient
@@ -28,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 from scipy.optimize import minimize
 from scipy.special import ndtr
 from scipy.stats import qmc
@@ -274,29 +278,34 @@ def _posterior_terms(model: GpModel, pts: np.ndarray):
 def _neg_lml_and_grad(theta: np.ndarray, sqd: np.ndarray, y: np.ndarray):
     """Negative LML and gradient wrt theta = log [sf2, l_1..d, sn2].
 
-    sqd holds per-dimension squared input differences, shape (n, n, d);
-    y is the centered, standardized target.
+    sqd holds the per-dimension squared input differences as a C-contiguous
+    (n*n, d) array, row i*n + j for the pair (i, j); y is the centered,
+    standardized target.  K = L L^T comes from dpotrf, and K^-1 = L^-T L^-1
+    from dtrtri and one product (dpotri's result depends on the BLAS thread
+    count).  With M = alpha alpha^T - K^-1, each gradient entry is
+    0.5 * sum(M * dK/dtheta_i) (Rasmussen & Williams, 2006, eq. 5.9).
     """
-    n, _, d = sqd.shape
+    n = len(y)
+    d = sqd.shape[1]
     sf2 = math.exp(theta[0])
-    ell2 = np.exp(2.0 * theta[1 : 1 + d])
+    inv_ell2 = np.exp(-2.0 * theta[1 : 1 + d])
     sn2 = math.exp(theta[-1])
-    k_se = sf2 * np.exp(-0.5 * np.sum(sqd / ell2, axis=2))
-    k_full = k_se + sn2 * np.eye(n)
-    try:
-        chol, _ = cho_factor(k_full, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    k_se = sf2 * np.exp(-0.5 * (sqd @ inv_ell2))
+    k_full = k_se.reshape(n, n).copy()
+    k_full.flat[:: n + 1] += sn2
+    chol, info = dpotrf(k_full, lower=1, clean=1)
+    if info != 0:
         return np.inf, np.zeros_like(theta)
-    alpha = cho_solve((chol, True), y, check_finite=False)
-    lml = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(np.tril(chol))))) \
+    alpha, _ = dpotrs(chol, y, lower=1)
+    chol_inv, _ = dtrtri(chol, lower=1)
+    m = np.outer(alpha, alpha) - chol_inv.T @ chol_inv
+    lml = -0.5 * float(y @ alpha) - float(np.log(chol.diagonal()).sum()) \
         - 0.5 * n * _LOG_2PI
-    k_inv = cho_solve((chol, True), np.eye(n), check_finite=False)
-    m = np.outer(alpha, alpha) - k_inv
+    mk = (m * k_se.reshape(n, n)).ravel()
     grad = np.empty_like(theta)
-    grad[0] = 0.5 * float(np.sum(m * k_se))
-    for j in range(d):
-        grad[1 + j] = 0.5 * float(np.sum(m * (k_se * sqd[:, :, j] / ell2[j])))
-    grad[-1] = 0.5 * float(np.trace(m)) * sn2
+    grad[0] = 0.5 * float(mk.sum())
+    grad[1 : 1 + d] = 0.5 * (mk @ sqd) * inv_ell2
+    grad[-1] = 0.5 * float(m.trace()) * sn2
     return -lml, -grad
 
 
@@ -342,7 +351,7 @@ def gp_fit(
     y_scaled = (residual - center) / sd
 
     diff = x_scaled[:, None, :] - x_scaled[None, :, :]
-    sqd = diff * diff
+    sqd = (diff * diff).reshape(n * n, d)
 
     box = [SIGNAL_VARIANCE_BOUNDS] + [LENGTH_SCALE_BOUNDS] * d + [NOISE_VARIANCE_BOUNDS]
     log_bounds = [(math.log(a), math.log(b)) for a, b in box]

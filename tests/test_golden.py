@@ -255,17 +255,17 @@ def test_bo_run_rq_golden(catalog, monkeypatch):
     monkeypatch.setattr(gpbo, "propose_next", flagged_propose)
     result = profit_run(catalog)
     assert history_digest(result) == (
-        "af043d1923a26421e9b32571c37a917fb2e9dae3ddba2bf35d4014f5c117d1ea")
-    assert (len(nfev), sum(nfev)) == (96, 2139)
+        "7ce46d0b7798daf7f54a3204ebf5bf486e850d6b6186c999431c2bec6b2c93fa")
+    assert (len(nfev), sum(nfev)) == (96, 2357)
 
 
 @pytest.mark.parametrize("run, digest", [
     pytest.param(lambda c: profit_run(c, mode="oup", budget=16),
-                 "6b30186d99521f725797a53948b4d38c7833f14b53606b6279da6c47201d6fa1", id="oup"),
+                 "51cf97891dbc592165247308e3e3586df429f18abf5f57845f52032e1aef7772", id="oup"),
     pytest.param(lambda c: profit_run(c, budget=16, acquisition="pi"),
-                 "9bd33ef7092129b81aeb5cbe551f8f7a4b97914d2d029331f18898ece801a72d", id="pi"),
+                 "048177eb4e9f3a2841b40d13b66e156ec9f6686a540ff7bd4ced8dbffb6baf17", id="pi"),
     pytest.param(lambda c: profit_run(c, budget=16, conditioning=BUMP),
-                 "68216a7666ef3c4c4e6efbd6512a7550c603e24e67aca5666cd9514a3d876683",
+                 "dc5e18912e3c3e78afea267196351419678116fd9ab20c1c3f164c82d604e64c",
                  id="conditioning"),
 ])
 def test_bo_run_profit_golden(catalog, run, digest):
@@ -277,4 +277,4 @@ def test_bo_run_minimize_1d_golden():
     result = bo_run(lambda x: float((x[0] - 0.3) ** 2 + 0.1 * np.sin(20 * x[0])), cfg,
                     direction="minimize")
     assert history_digest(result) == (
-        "63db2642391f2c815ab53151a57a8c0588503ccf77d30dedbcdc0a0e9795c32b")
+        "3a44af4a90d920f73aaafbfa348d10d8fa6a0af910bb2129f3c2b565f7eaf974")

@@ -259,6 +259,64 @@ class TestGpFit:
         assert lo * (1 - 1e-9) <= model.kernel.length_scales[0] <= hi * (1 + 1e-9)
 
 
+class TestLikelihood:
+    """gpbo._neg_lml_and_grad, the objective of gp_fit's hyperparameter search,
+    against a dense oracle and central differences of its own value."""
+
+    @staticmethod
+    def _data(n, dim):
+        rng = np.random.default_rng(10 * n + dim)
+        x = rng.uniform(size=(n, dim))
+        y = np.sin(3.0 * x).sum(1) + 0.1 * rng.normal(size=n)
+        diff = x[:, None, :] - x[None, :, :]
+        return x, (y - y.mean()) / y.std(), (diff * diff).reshape(n * n, dim)
+
+    @staticmethod
+    def _thetas(dim):
+        typical = np.hstack(([0.2], np.log(np.linspace(0.2, 0.6, dim)), [math.log(1e-3)]))
+        # with no noise the length scale stays near the point spacing, so that
+        # K keeps off-diagonal terms and a condition number central
+        # differences can resolve
+        noise_floor = np.hstack(([0.5], np.full(dim, math.log(0.5 * 24 ** (-1 / dim))),
+                                 [math.log(gpbo.NOISE_VARIANCE_BOUNDS[0])]))
+        return typical, noise_floor
+
+    @staticmethod
+    def _dense_neg_lml(theta, x, y):
+        dim = x.shape[1]
+        scaled = x / np.exp(theta[1 : 1 + dim])
+        sq = ((scaled[:, None, :] - scaled[None, :, :]) ** 2).sum(-1)
+        k = math.exp(theta[0]) * np.exp(-0.5 * sq) + math.exp(theta[-1]) * np.eye(len(y))
+        sign, logdet = np.linalg.slogdet(k)
+        assert sign > 0
+        return 0.5 * y @ np.linalg.solve(k, y) + 0.5 * logdet + 0.5 * len(y) * math.log(2 * math.pi)
+
+    @pytest.mark.parametrize("n", [2, 12, 24])
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_value_matches_dense_oracle(self, dim, n):
+        x, y, sqd = self._data(n, dim)
+        for theta in self._thetas(dim):
+            value, _ = gpbo._neg_lml_and_grad(theta, sqd, y)
+            assert value == pytest.approx(self._dense_neg_lml(theta, x, y), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 12, 24])
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_gradient_matches_central_differences(self, dim, n):
+        _, y, sqd = self._data(n, dim)
+        for theta in self._thetas(dim):
+            _, grad = gpbo._neg_lml_and_grad(theta, sqd, y)
+            central = central_differences(lambda t: gpbo._neg_lml_and_grad(t, sqd, y)[0], theta)
+            assert np.max(np.abs(grad - central)) <= 1e-6 * np.max(np.abs(central))
+
+    def test_rejected_factorization_returns_inf_and_zero_gradient(self):
+        # 30 identical points with no noise: K is sf2 times a rank-one matrix
+        n, dim = 30, 2
+        theta = np.hstack(([0.0], np.full(dim, math.log(LENGTH_SCALE_BOUNDS[1])), [-60.0]))
+        value, grad = gpbo._neg_lml_and_grad(theta, np.zeros((n * n, dim)), np.zeros(n))
+        assert value == np.inf
+        assert grad.shape == theta.shape and not grad.any()
+
+
 class TestConditionMvn:
     def test_two_dimensional_example(self):
         mean, cov = condition_mvn(
