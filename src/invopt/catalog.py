@@ -11,6 +11,7 @@ daily rate).
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, fields
 
@@ -154,6 +155,8 @@ def _parse_cell(column: str, raw: str, line_no: int):
         value = float(raw)
     except ValueError:
         raise ParseError(f"line {line_no}: column {column!r}: {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ParseError(f"line {line_no}: column {column!r}: {raw!r} is not finite")
     if field in _INT_FIELDS:
         if value != int(value):
             raise ParseError(f"line {line_no}: column {column!r}: {raw!r} is not an integer")

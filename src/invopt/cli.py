@@ -181,10 +181,16 @@ def _load_params(path: str, policy: str) -> dict:
     raw = _load_json(path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object of per-product params")
+    read = (("review_period", "order_up_to") if policy == "pq"
+            else ("reorder_point", "order_quantity"))
     params = {}
     for name, entry in raw.items():
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: product {name!r}: expected a JSON object of fields")
+        unread = sorted(set(entry) - set(read))
+        if unread:
+            raise ConfigError(f"{path}: product {name!r}: unknown field(s) {', '.join(unread)}; "
+                              f"a {policy} policy reads {', '.join(read)}")
         try:
             if policy == "pq":
                 params[name] = PeriodicReview(

@@ -8,15 +8,17 @@ shifts the prior mean to encode prior beliefs about promising regions;
 setting it to None (or giving it no centers) recovers plain GP regression.
 Hyperparameters are chosen by maximizing the log marginal likelihood with
 multi-start L-BFGS-B on inputs scaled to the unit box and standardized
-outputs.  The likelihood and its gradient are evaluated on raw LAPACK: the
-squared input differences are built once per fit as an (n*n, d) array, K is
-factored by dpotrf, and K^-1 is formed from dtrtri's triangular inverse, whose
-bits do not depend on the BLAS thread count.  The fitted model stores
-everything in original units, and caches its training inputs divided by the
-length scales (with their squared row norms), so a posterior query computes
-only the cross terms.  A fit keeps no state between calls: it depends only on
-its data, conditioning, input bounds and seed, so each optimization step
-refits from the same starts.
+outputs.  One raw-LAPACK path serves the likelihood search, the fitted model
+and condition_mvn: dpotrf factors (the model adds an escalating jitter when
+it fails), dpotrs solves, and the likelihood's gradient forms K^-1 from
+dtrtri's triangular inverse, whose bits do not depend on the BLAS thread
+count.  The search builds the squared input differences once per fit as an
+(n*n, d) array.  The fitted model stores everything in original units, and
+caches its training inputs divided by the length scales (with their squared
+row norms), from which one SE cross-kernel gives both its Gram matrix and a
+query's k*.  A fit keeps no state between calls: it depends only on its data,
+conditioning, input bounds and seed, so each optimization step refits from
+the same starts.
 
 A proposal scores a scrambled-Sobol sweep of the box and refines the best
 candidates by L-BFGS-B in unit-box coordinates, with the closed-form gradient
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 from scipy.optimize import minimize
 from scipy.special import ndtr
@@ -80,11 +81,19 @@ def kernel_eval(kernel: Kernel, x: Sequence[float], x2: Sequence[float]) -> floa
     return kernel.signal_variance * math.exp(-0.5 * float(scaled @ scaled))
 
 
-def _gram(kernel: Kernel, x: np.ndarray) -> np.ndarray:
-    a = x / np.asarray(kernel.length_scales)
-    norms = np.sum(a * a, axis=1)
-    sq = norms[:, None] + norms[None, :] - 2.0 * a @ a.T
-    return kernel.signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
+def _se_cross(signal_variance: float, a: np.ndarray, a_sq: np.ndarray,
+              b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+    """SE kernel between the rows of a and b, both already divided by the
+    length scales, given their squared row norms a_sq and b_sq."""
+    sq = a_sq[:, None] + b_sq[None, :] - 2.0 * a @ b.T
+    return signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
+
+
+def _lml(y: np.ndarray, alpha: np.ndarray, chol: np.ndarray) -> float:
+    """Log marginal likelihood of y under K = L L^T, given alpha = K^-1 y
+    (Rasmussen & Williams, 2006, Alg. 2.1)."""
+    return -0.5 * float(y @ alpha) - float(np.log(chol.diagonal()).sum()) \
+        - 0.5 * len(y) * _LOG_2PI
 
 
 @dataclass(frozen=True)
@@ -160,12 +169,8 @@ class GpModel:
     alpha_vec: np.ndarray = field(repr=False)
     jitter: float
     log_marginal_likelihood: float
-    x_scaled: np.ndarray = field(init=False, repr=False)  # x_train / length scales
-    x_sq: np.ndarray = field(init=False, repr=False)      # squared row norms of x_scaled
-
-    def __post_init__(self) -> None:
-        self.x_scaled = self.x_train / np.asarray(self.kernel.length_scales)
-        self.x_sq = np.sum(self.x_scaled * self.x_scaled, axis=1)
+    x_scaled: np.ndarray = field(repr=False)  # x_train / length scales
+    x_sq: np.ndarray = field(repr=False)      # squared row norms of x_scaled
 
     @classmethod
     def build(
@@ -193,16 +198,13 @@ class GpModel:
         if prior_mean is None:
             prior_mean = float(np.mean(y - mean_adjust))
         residual = y - mean_adjust - prior_mean
-        gram = _gram(kernel, x)
+        x_scaled = x / np.asarray(kernel.length_scales)
+        x_sq = np.sum(x_scaled * x_scaled, axis=1)
+        gram = _se_cross(kernel.signal_variance, x_scaled, x_sq, x_scaled, x_sq)
         chol, jitter = _chol_with_escalation(gram, noise_variance, kernel.signal_variance)
-        alpha_vec = cho_solve((chol, True), residual)
-        lml = (
-            -0.5 * float(residual @ alpha_vec)
-            - float(np.sum(np.log(np.diag(chol))))
-            - 0.5 * len(y) * _LOG_2PI
-        )
-        return cls(x, y, kernel, noise_variance, prior_mean, conditioning,
-                   chol, alpha_vec, jitter, lml)
+        alpha_vec, _ = dpotrs(chol, residual, lower=1)
+        return cls(x, y, kernel, noise_variance, prior_mean, conditioning, chol, alpha_vec,
+                   jitter, _lml(residual, alpha_vec, chol), x_scaled, x_sq)
 
 
 def _chol_with_escalation(
@@ -216,13 +218,10 @@ def _chol_with_escalation(
         )
     jitter = 0.0
     for attempt in range(8):
-        try:
-            chol, _ = cho_factor(
-                gram + (noise_variance + jitter) * np.eye(n), lower=True
-            )
-            return np.tril(chol), jitter
-        except np.linalg.LinAlgError:
-            jitter = signal_variance * 10.0 ** (-12 + 2 * attempt)
+        chol, info = dpotrf(gram + (noise_variance + jitter) * np.eye(n), lower=1, clean=1)
+        if info == 0:
+            return chol, jitter
+        jitter = signal_variance * 10.0 ** (-12 + 2 * attempt)
     raise NumericalError(
         f"covariance matrix not positive definite after jitter escalation "
         f"(n={n}, noise_variance={noise_variance:g}, last jitter={jitter:g}); "
@@ -237,7 +236,7 @@ def gp_posterior(model: GpModel, x) -> tuple[float, float] | tuple[np.ndarray, n
     adjusted prior mean; the variance is floored at zero.
     """
     pts, single = _query_points(model, x)
-    mean, var = _moments(model, pts)
+    mean, var = _posterior_terms(model, pts)[:2]
     if single:
         return float(mean[0]), float(var[0])
     return mean, var
@@ -253,18 +252,12 @@ def _query_points(model: GpModel, x) -> tuple[np.ndarray, bool]:
     return pts, single
 
 
-def _moments(model: GpModel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance at validated (m, d) points."""
-    mean, var, _, _, _ = _posterior_terms(model, pts)
-    return mean, var
-
-
 def _posterior_terms(model: GpModel, pts: np.ndarray):
     """Mean and variance at validated (m, d) points, with the terms a gradient
     reuses: the scaled points a = pts / l, k* = k(pts, X) and v = L^-1 k*^T."""
     a = pts / np.asarray(model.kernel.length_scales)
-    sq = (a * a).sum(1)[:, None] + model.x_sq[None, :] - 2.0 * a @ model.x_scaled.T
-    k_star = model.kernel.signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
+    k_star = _se_cross(model.kernel.signal_variance, a, (a * a).sum(1),
+                       model.x_scaled, model.x_sq)
     prior = model.prior_mean
     if model.conditioning is not None:
         prior = prior + model.conditioning(pts)
@@ -299,14 +292,12 @@ def _neg_lml_and_grad(theta: np.ndarray, sqd: np.ndarray, y: np.ndarray):
     alpha, _ = dpotrs(chol, y, lower=1)
     chol_inv, _ = dtrtri(chol, lower=1)
     m = np.outer(alpha, alpha) - chol_inv.T @ chol_inv
-    lml = -0.5 * float(y @ alpha) - float(np.log(chol.diagonal()).sum()) \
-        - 0.5 * n * _LOG_2PI
     mk = (m * k_se.reshape(n, n)).ravel()
     grad = np.empty_like(theta)
     grad[0] = 0.5 * float(mk.sum())
     grad[1 : 1 + d] = 0.5 * (mk @ sqd) * inv_ell2
     grad[-1] = 0.5 * float(m.trace()) * sn2
-    return -lml, -grad
+    return -_lml(y, alpha, chol), -grad
 
 
 def gp_fit(
@@ -404,17 +395,16 @@ def condition_mvn(
         raise DomainError("observed indices must be a proper subset of the coordinates")
     free_idx = [i for i in range(dim) if i not in observed]
     x_b = np.array([observed[i] for i in obs_idx], float)
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all() and np.isfinite(x_b).all()):
+        raise DomainError("mean, cov and observed values must be finite")
 
     s_aa = sigma[np.ix_(free_idx, free_idx)]
     s_ab = sigma[np.ix_(free_idx, obs_idx)]
     s_bb = sigma[np.ix_(obs_idx, obs_idx)]
-    try:
-        chol, _ = cho_factor(s_bb, lower=True)
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            "observed-block covariance is singular; add a diagonal nugget"
-        ) from None
-    gain = cho_solve((chol, True), s_ab.T).T
+    chol, info = dpotrf(s_bb, lower=1)
+    if info != 0:
+        raise NumericalError("observed-block covariance is singular; add a diagonal nugget")
+    gain = dpotrs(chol, s_ab.T, lower=1)[0].T
     cond_mean = mu[free_idx] + gain @ (x_b - mu[obs_idx])
     cond_cov = s_aa - gain @ s_ab.T
     cond_cov = 0.5 * (cond_cov + cond_cov.T)
@@ -426,7 +416,7 @@ def expected_improvement(
 ) -> float | np.ndarray:
     """Closed-form expected improvement over the incumbent f_best."""
     pts, single = _query_points(model, x)
-    out = _ei_from_moments(*_moments(model, pts), f_best, direction)
+    out = _ei_from_moments(*_posterior_terms(model, pts)[:2], f_best, direction)
     return float(out[0]) if single else out
 
 
@@ -455,7 +445,7 @@ def probability_of_improvement(
 ) -> float | np.ndarray:
     """Phi(z): probability that x improves on the incumbent."""
     pts, single = _query_points(model, x)
-    out = _pi_from_moments(*_moments(model, pts), f_best, direction)
+    out = _pi_from_moments(*_posterior_terms(model, pts)[:2], f_best, direction)
     return float(out[0]) if single else out
 
 

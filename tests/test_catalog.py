@@ -1,6 +1,7 @@
 import pytest
 
 from invopt.catalog import (
+    CSV_HEADER,
     Catalog,
     ProductSpec,
     ReconciliationWarning,
@@ -62,6 +63,19 @@ def test_load_non_numeric_cell(tmp_path, table1_path):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(ParseError, match="line 2"):
+        load_catalog(str(path))
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("column", CSV_HEADER.split(",")[1:])
+def test_load_non_finite_cell(tmp_path, table1_path, column, raw):
+    lines = open(table1_path).read().splitlines()
+    cells = lines[2].split(",")
+    cells[CSV_HEADER.split(",").index(column)] = raw
+    lines[2] = ",".join(cells)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"line 3: column '{column}'"):
         load_catalog(str(path))
 
 

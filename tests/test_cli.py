@@ -104,6 +104,19 @@ class TestParsing:
         assert code == 2
         assert err.startswith("validate:")
 
+    @pytest.mark.parametrize("column, raw", [("lead_time", "inf"), ("lead_time", "nan"),
+                                             ("annual_demand", "inf"), ("selling_price", "inf")])
+    def test_non_finite_catalog_cell_exits_2(self, capsys, tmp_path, table1_path, column, raw):
+        lines = open(table1_path).read().splitlines()
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index(column)] = raw
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+        code, out, err = run_cli(capsys, "--catalog", str(bad), "eoq")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("io:") and f"line 2: column '{column}'" in err
+
 
 class TestEoqCommand:
     def test_report_values(self, capsys, table1_path):
@@ -281,6 +294,22 @@ class TestSimulateCommand:
                                      kind(**raw[product.name]), cfg).records
         ]
         assert lines[1:] == expected
+
+    @pytest.mark.parametrize("policy, misread", [("pq", "review_periode"), ("rq", "review_period")])
+    def test_unread_params_field_rejected(self, capsys, tmp_path, table1_path, pq_params_file,
+                                          rq_params_file, policy, misread):
+        raw = json.loads(Path(pq_params_file if policy == "pq" else rq_params_file).read_text())
+        if policy == "pq":  # a misspelt period, so the parent ran the 30-day default
+            del raw["PrA"]["review_period"]
+        raw["PrA"][misread] = 7
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "simulate",
+                                 "--policy", policy, "--params", str(bad),
+                                 "--replications", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config:") and misread in err and "PrA" in err
 
     @pytest.mark.parametrize("value", [812.9, True])
     def test_non_integral_params_rejected(self, capsys, tmp_path, table1_path, value):

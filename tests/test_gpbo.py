@@ -308,6 +308,21 @@ class TestLikelihood:
             central = central_differences(lambda t: gpbo._neg_lml_and_grad(t, sqd, y)[0], theta)
             assert np.max(np.abs(grad - central)) <= 1e-6 * np.max(np.abs(central))
 
+    @pytest.mark.parametrize("n", [2, 12, 24])
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_model_reports_the_searched_likelihood(self, dim, n):
+        # GpModel.build with the hyperparameters theta encodes must report the
+        # likelihood the search maximised, and keep a clean lower factor
+        x, y, sqd = self._data(n, dim)
+        for theta in self._thetas(dim):
+            kernel = Kernel(math.exp(theta[0]), tuple(np.exp(theta[1 : 1 + dim])))
+            model = GpModel.build(x, y, kernel, math.exp(theta[-1]), prior_mean=0.0)
+            assert model.jitter == 0.0
+            lml = model.log_marginal_likelihood
+            assert lml == pytest.approx(-self._dense_neg_lml(theta, x, y), rel=1e-10)
+            assert lml == pytest.approx(-gpbo._neg_lml_and_grad(theta, sqd, y)[0], rel=1e-10)
+            assert not np.triu(model.chol, 1).any()
+
     def test_rejected_factorization_returns_inf_and_zero_gradient(self):
         # 30 identical points with no noise: K is sf2 times a rank-one matrix
         n, dim = 30, 2
@@ -363,6 +378,16 @@ class TestConditionMvn:
         sigma = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
         with pytest.raises(NumericalError, match="nugget"):
             condition_mvn([0.0, 0.0, 0.0], sigma, {1: 1.0, 2: 1.0})
+
+    @pytest.mark.parametrize("mean, cov, observed", [
+        ([np.nan, 0.0, 0.0], np.eye(3), {1: 1.0}),
+        ([0.0, 0.0, 0.0], np.eye(3), {1: np.inf}),
+        ([0.0, 0.0, 0.0], np.diag([1.0, np.nan, 1.0]), {1: 1.0}),
+        ([0.0, 0.0, 0.0], np.diag([np.inf, 1.0, 1.0]), {2: 1.0}),
+    ])
+    def test_non_finite_input_rejected(self, mean, cov, observed):
+        with pytest.raises(DomainError, match="finite"):
+            condition_mvn(mean, cov, observed)
 
     def test_observed_must_be_proper_subset(self):
         sigma = np.eye(2)
