@@ -49,7 +49,6 @@ from .gpbo import (
     expected_improvement,
     gp_fit,
     gp_posterior,
-    kernel_eval,
     probability_of_improvement,
     propose_next,
 )

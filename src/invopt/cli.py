@@ -177,6 +177,16 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _check_fields(where: str, entry, reader: str, read: tuple[str, ...]) -> None:
+    """Raise unless entry is a JSON object whose every field `reader` reads."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: expected a JSON object of fields")
+    unread = sorted(set(entry) - set(read))
+    if unread:
+        raise ConfigError(f"{where}: unknown field(s) {', '.join(unread)}; "
+                          f"{reader} reads {', '.join(read)}")
+
+
 def _load_params(path: str, policy: str) -> dict:
     raw = _load_json(path)
     if not isinstance(raw, dict):
@@ -185,12 +195,7 @@ def _load_params(path: str, policy: str) -> dict:
             else ("reorder_point", "order_quantity"))
     params = {}
     for name, entry in raw.items():
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: product {name!r}: expected a JSON object of fields")
-        unread = sorted(set(entry) - set(read))
-        if unread:
-            raise ConfigError(f"{path}: product {name!r}: unknown field(s) {', '.join(unread)}; "
-                              f"a {policy} policy reads {', '.join(read)}")
+        _check_fields(f"{path}: product {name!r}", entry, f"a {policy} policy", read)
         try:
             if policy == "pq":
                 params[name] = PeriodicReview(
@@ -322,7 +327,7 @@ def _cmd_simulate(args, catalog) -> int:
     day_cells = attrgetter(*day_fields)
     trajectory_lines = [",".join(["product", *day_fields])]
     histogram_lines = ["metric,bin_lo,bin_hi,count"]
-    for (product, _, _), runs in zip(cases, batch.split(len(cases))):
+    for (product, _, _), runs in zip(cases, batch):
         stats = runs.stats()
         lines.append(f"{product.name},{args.policy},{_stats_cells(stats)},"
                      f"{stats.mean_orders_placed:.2f},{stats.n}")
@@ -391,6 +396,8 @@ def _cmd_optimize(args, catalog) -> int:
     conditioning = None
     if args.conditioning is not None:
         raw = _load_json(args.conditioning)
+        _check_fields(args.conditioning, raw, "a conditioning file",
+                      ("alpha", "centers", "widths", "weights"))
         try:
             conditioning = ConditioningFn(
                 alpha=float(raw["alpha"]),
@@ -441,7 +448,7 @@ def _cmd_sensitivity(args, catalog) -> int:
     else:
         baseline = {
             p.name: BaselineOutputs.from_stats(runs.stats(), policy_safety_stock(p, policy))
-            for (p, _, policy), runs in zip(cases, simulate_cases(cases, cfg).split(len(cases)))
+            for (p, _, policy), runs in zip(cases, simulate_cases(cases, cfg))
         }
         rows = sensitivity_linear(baseline, *specs)
 

@@ -70,17 +70,6 @@ class Kernel:
         return len(self.length_scales)
 
 
-def kernel_eval(kernel: Kernel, x: Sequence[float], x2: Sequence[float]) -> float:
-    """sigma_f^2 * exp(-0.5 * sum(((x_i - x2_i) / l_i)^2))."""
-    xa, xb = np.asarray(x, float), np.asarray(x2, float)
-    if xa.shape != (kernel.dim,) or xb.shape != (kernel.dim,):
-        raise DomainError(
-            f"points must be {kernel.dim}-dimensional, got {xa.shape} and {xb.shape}"
-        )
-    scaled = (xa - xb) / np.asarray(kernel.length_scales)
-    return kernel.signal_variance * math.exp(-0.5 * float(scaled @ scaled))
-
-
 def _se_cross(signal_variance: float, a: np.ndarray, a_sq: np.ndarray,
               b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
     """SE kernel between the rows of a and b, both already divided by the

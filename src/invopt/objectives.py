@@ -61,9 +61,8 @@ class ProfitObjective:
         levels = np.maximum(np.rint(pts), 1).astype(np.int64)
         cases = [(product, demand_model(product), self._policy(product, int(level)))
                  for row in levels for product, level in zip(self.catalog, row)]
-        n = self.cfg.replications
-        runs = _batch_over_reps(cases, self.cfg, np.arange(n))
-        means = runs.profit.reshape(len(levels), self.dim, n).mean(axis=2)
+        runs = _batch_over_reps(cases, self.cfg, np.arange(self.cfg.replications))
+        means = np.array([r.profit.mean() for r in runs]).reshape(len(levels), self.dim)
         return sum(means.T)  # one product at a time, in catalog order (np.sum reassociates)
 
     def _policy(self, product: ProductSpec, level: int) -> PolicyParams:

@@ -169,7 +169,7 @@ def sensitivity_resim(
                  for spec in specs for delta in spec.deltas for product, demand, policy in cases]
     if not perturbed:
         return []
-    runs = simulate_cases([case for _, _, case in perturbed], cfg).split(len(perturbed))
+    runs = simulate_cases([case for _, _, case in perturbed], cfg)
     rows = []
     for (variable, delta, (product, _, policy)), part in zip(perturbed, runs):
         stats = part.stats()

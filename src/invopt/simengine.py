@@ -25,22 +25,21 @@ times from (seed, i, lead lane), so results are reproducible and independent
 of execution order.  The engine takes cases, (product, demand model, policy)
 triples, and a list of replication ids, and runs every case on every id:
 all runs, periodic and continuous review alike, advance in one lockstep day
-loop, and the per-run outcomes come back as ``RunSamples``, case after case.
-Every entry point makes one engine call and reduces it: statistics, sweeps,
-comparisons, histograms and the day trajectory are reductions of that one
-batch.  The cases of a batch share its replication ids and so read the same
-uniforms (common random numbers): sweep levels and compared policies differ
-without sampling noise between them, and the products of a catalog see
-comonotone demand within a replication.
+loop, and the per-run outcomes come back as one ``RunSamples`` per case, in
+case order.  Every entry point makes one engine call and reduces it:
+statistics, sweeps, comparisons, histograms and the day trajectory are
+reductions of that one batch.  The cases of a batch share its replication
+ids and so read the same uniforms (common random numbers): sweep levels and
+compared policies differ without sampling noise between them, and the
+products of a catalog see comonotone demand within a replication.
 
 The engine takes the replication ids in consecutive blocks of at most
 ``BLOCK_ROWS`` sampled rows, and samples and advances every case's runs on
 one block at a time, so its memory does not grow with the number of
 replications.
 
-Day trajectories are opt-in.  A batch asked to record keeps, in ``records``,
-the trajectory of every case on the batch's first replication id, case after
-case; ``split`` gives each part its case's trajectory.
+Day trajectories are opt-in.  A batch asked to record keeps, in each case's
+``records``, that case's trajectory on the batch's first replication id.
 ``simulate_once(product, demand, policy, cfg, replication=0)`` is the one-run
 batch: replication ``replication`` under ``cfg.seed``, returned as a
 ``RunSamples`` of length 1 with its trajectory.
@@ -49,7 +48,7 @@ batch: replication ``replication`` under ``cfg.seed``, returned as a
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -172,17 +171,14 @@ class ReplicationStats:
 
 @dataclass(frozen=True, eq=False)
 class RunSamples:
-    """Per-run outcomes of one engine batch (arrays of length R).
+    """Per-run outcomes of one case of an engine batch (arrays of length R,
+    one entry per replication id, in the batch's id order).
 
-    ``unmet_demand`` is the batch's demand mode: it decides whether demand
-    that was never served is the lost units or the backorders still queued
-    at the horizon.  ``records`` is empty unless the batch was asked to
-    record (``simulate_once``, ``simulate_cases(..., record=True)``); then it
-    holds the day trajectory of every case on the batch's first replication
-    id, case after case.
+    ``records`` is empty unless the batch was asked to record
+    (``simulate_once``, ``simulate_cases(..., record=True)``); then it holds
+    the case's day trajectory on the batch's first replication id.
     """
 
-    unmet_demand: str
     profit: np.ndarray
     revenue: np.ndarray
     product_costs: np.ndarray
@@ -201,24 +197,15 @@ class RunSamples:
 
     @property
     def _never_served(self) -> np.ndarray:
-        return self.unmet_units if self.unmet_demand == LOST_SALES else self.final_backorders
+        """Demand never served: the lost units under lost sales (nothing is
+        served late), the backorders still queued at the horizon otherwise."""
+        return self.unmet_units - self.served_late_units
 
     @property
     def lost_order_fraction(self) -> np.ndarray:
         """Per-run share of demand never served (0 for runs without demand)."""
         demand = self.demand_units
         return np.where(demand > 0, self._never_served / np.maximum(demand, 1), 0.0)
-
-    def split(self, parts: int) -> list["RunSamples"]:
-        """The runs cut into `parts` equal consecutive groups, and the records
-        likewise: when the parts are the batch's cases, each part holds its
-        case's runs and its case's day trajectory."""
-        arrays = {f.name: np.split(getattr(self, f.name), parts) for f in fields(self)
-                  if isinstance(getattr(self, f.name), np.ndarray)}
-        days = len(self.records) // parts
-        return [replace(self, records=self.records[i * days:(i + 1) * days],
-                        **{name: pieces[i] for name, pieces in arrays.items()})
-                for i in range(parts)]
 
     def stats(self) -> ReplicationStats:
         n = len(self.profit)
@@ -248,10 +235,16 @@ def demand_model(product: ProductSpec) -> DemandModel:
 def catalog_cases(
     catalog: Catalog, params: Mapping[str, PolicyParams], source: str = "policy"
 ) -> list[Case]:
-    """The (product, demand model, policy) case of every catalog product, in catalog order."""
+    """The (product, demand model, policy) case of every catalog product, in
+    catalog order.  Every product needs params, and every params entry a
+    product: `source` names the params in the error."""
     for product in catalog:
         if product.name not in params:
             raise ConfigError(f"{source}: missing params for product {product.name!r}")
+    names = {product.name for product in catalog}
+    for name in params:
+        if name not in names:
+            raise ConfigError(f"{source}: params for product {name!r}, which is not in the catalog")
     return [(product, demand_model(product), params[product.name]) for product in catalog]
 
 
@@ -280,22 +273,23 @@ def _batch_over_reps(
     cfg: SimConfig,
     rep_ids: Sequence[int],
     record: bool = False,
-) -> RunSamples:
+) -> list[RunSamples]:
     """Advance every case on every replication id in lockstep for cfg.horizon days.
 
-    A case is a (product, demand model, policy) triple; run c * len(rep_ids) + j
-    is case c on stream id rep_ids[j], case after case.  Runs with the same id
-    read the same demand and lead-time rows (common random numbers).  Each id's
-    demand stream, and its lead-time stream when lead times are random, is
-    built and drawn once; the block transforms turn its uniforms into the row
-    of every distinct demand model (lead-time model) of the batch.
+    A case is a (product, demand model, policy) triple.  The result holds one
+    ``RunSamples`` per case, in case order, whose run j is the case on stream
+    id rep_ids[j].  Runs with the same id read the same demand and lead-time
+    rows (common random numbers).  Each id's demand stream, and its lead-time
+    stream when lead times are random, is built and drawn once; the block
+    transforms turn its uniforms into the row of every distinct demand model
+    (lead-time model) of the batch.
 
     The ids are taken in consecutive blocks of at most BLOCK_ROWS sampled rows
     (distinct models x ids).  Each block's rows are sampled, every case's runs
     on them go through the day loop, and their finished ledgers fill the
     block's columns of the batch.  A run's arithmetic is elementwise, so the
-    blocks change no value.  With `record`, ``records`` holds the day
-    trajectory of every case on rep_ids[0], case after case.
+    blocks change no value.  With `record`, each case's ``records`` hold its
+    day trajectory on rep_ids[0].
     """
     rep_ids = np.asarray(rep_ids, np.int64)
     horizon = cfg.horizon
@@ -317,7 +311,7 @@ def _batch_over_reps(
     rows_per_id = max(len(demand_models), len(lead_distinct) if random_lead else 1)
     block_ids = max(BLOCK_ROWS // rows_per_id, 1)
     ledgers = np.empty((10, len(cases), len(rep_ids)), np.int64)
-    records: list[DayRecord] = []
+    records: list[tuple[DayRecord, ...]] = [()] * len(cases)
 
     for lo in range(0, len(rep_ids), block_ids):
         ids = rep_ids[lo:lo + block_ids]
@@ -396,38 +390,30 @@ def _batch_over_reps(
         ledgers[:, :, lo:lo + n_ids] = state.reshape(10, len(cases), n_ids)
         demand_by_day = lead_by_order = None  # freed before the next block is sampled
         if len(watch):
-            records = [DayRecord(day, *cells) for run in trajectory.transpose(2, 0, 1).tolist()
-                       for day, cells in enumerate(run, 1)]
+            records = [tuple(DayRecord(day, *cells) for day, cells in enumerate(run, 1))
+                       for run in trajectory.transpose(2, 0, 1).tolist()]
 
+    # every ledger is (cases, ids); the per-case prices are (cases, 1) columns
     (final_on_hand, final_backorders, demand_units, sold_units, unmet_units, served_late,
-     ordered_units, orders_placed, holding_unit_days, total_receipts) = ledgers.reshape(10, -1)
-    price, unit_cost, order_cost, daily_holding = np.repeat(np.array(
+     ordered_units, orders_placed, holding_unit_days, total_receipts) = ledgers
+    price, unit_cost, order_cost, daily_holding = np.array(
         [(p.selling_price, p.purchase_cost, p.order_cost, p.holding_cost / DAYS_PER_YEAR)
-         for p in products]).T, len(rep_ids), axis=1)
+         for p in products]).T[:, :, None]
     revenue = (sold_units + served_late) * price
     product_costs = ordered_units * unit_cost
     ordering_costs = orders_placed * order_cost
     holding_costs = holding_unit_days * daily_holding
     profit = revenue - product_costs - ordering_costs - holding_costs
 
-    return RunSamples(
-        unmet_demand=cfg.unmet_demand,
-        profit=profit,
-        revenue=revenue,
-        product_costs=product_costs,
-        ordering_costs=ordering_costs,
-        holding_costs=holding_costs,
-        demand_units=demand_units,
-        sold_units=sold_units,
-        unmet_units=unmet_units,
-        served_late_units=served_late,
-        final_backorders=final_backorders,
-        ordered_units=ordered_units,
-        orders_placed=orders_placed,
-        final_on_hand=final_on_hand,
-        total_receipts=total_receipts,
-        records=tuple(records),
-    )
+    columns = dict(profit=profit, revenue=revenue, product_costs=product_costs,
+                   ordering_costs=ordering_costs, holding_costs=holding_costs,
+                   demand_units=demand_units, sold_units=sold_units, unmet_units=unmet_units,
+                   served_late_units=served_late, final_backorders=final_backorders,
+                   ordered_units=ordered_units, orders_placed=orders_placed,
+                   final_on_hand=final_on_hand, total_receipts=total_receipts)
+    return [RunSamples(**{name: column[c] for name, column in columns.items()},
+                       records=case_records)
+            for c, case_records in enumerate(records)]
 
 
 def simulate_once(
@@ -443,15 +429,14 @@ def simulate_once(
     run equals run `replication` of any batch of the same case and seed.
     cfg.replications is not read.
     """
-    return _batch_over_reps([(product, demand, policy)], cfg, [replication], record=True)
+    return _batch_over_reps([(product, demand, policy)], cfg, [replication], record=True)[0]
 
 
-def simulate_cases(cases: Sequence[Case], cfg: SimConfig, record: bool = False) -> RunSamples:
-    """cfg.replications runs of each case, case after case: run
-    c * cfg.replications + i is case c on stream id i (common random numbers
-    across cases).  With `record`, the records hold the day trajectory of
-    replication 0 of every case, case after case, so ``split(len(cases))``
-    gives each part its own."""
+def simulate_cases(cases: Sequence[Case], cfg: SimConfig,
+                   record: bool = False) -> list[RunSamples]:
+    """cfg.replications runs of each case, one ``RunSamples`` per case in case
+    order: run i of each is stream id i (common random numbers across cases).
+    With `record`, each case's records hold its replication 0 day trajectory."""
     return _batch_over_reps(cases, cfg, np.arange(cfg.replications), record)
 
 
@@ -463,7 +448,7 @@ def replication_samples(
 ) -> RunSamples:
     """Per-run outcomes of cfg.replications runs, with replication 0's day
     trajectory in records; replication i uses stream id i."""
-    return simulate_cases([(product, demand, policy)], cfg, record=True)
+    return simulate_cases([(product, demand, policy)], cfg, record=True)[0]
 
 
 def replicate(
@@ -473,7 +458,7 @@ def replicate(
     cfg: SimConfig,
 ) -> ReplicationStats:
     """Monte-Carlo estimate over cfg.replications independent runs."""
-    return simulate_cases([(product, demand, policy)], cfg).stats()
+    return simulate_cases([(product, demand, policy)], cfg)[0].stats()
 
 
 def sweep_oup(
@@ -497,8 +482,7 @@ def sweep_oup(
     PeriodicReview(review_period, hi)  # validates the review period and the cap
     levels = range(lo, hi + 1, step)
     cases = [(product, demand, PeriodicReview(review_period, level)) for level in levels]
-    runs = simulate_cases(cases, cfg).split(len(cases))
-    return [(level, part.stats()) for level, part in zip(levels, runs)]
+    return [(level, runs.stats()) for level, runs in zip(levels, simulate_cases(cases, cfg))]
 
 
 @dataclass(frozen=True)
@@ -523,7 +507,7 @@ def compare_policies(
     """
     cases = (catalog_cases(catalog, pq_params, "periodic review")
              + catalog_cases(catalog, rq_params, "continuous review"))
-    stats = [runs.stats() for runs in simulate_cases(cases, cfg).split(len(cases))]
+    stats = [runs.stats() for runs in simulate_cases(cases, cfg)]
     per_product = {p.name: (stats[i], stats[i + len(catalog)]) for i, p in enumerate(catalog)}
     total_pq = sum(s.mean_profit for s, _ in per_product.values())
     total_rq = sum(s.mean_profit for _, s in per_product.values())

@@ -37,13 +37,14 @@ def table1_path() -> str:
 
 
 def count_engine_calls(monkeypatch, module) -> list[int]:
-    """Record the run count of every ``_batch_over_reps`` call made through module."""
+    """Record the run count of every ``_batch_over_reps`` call made through
+    module: the runs of all the cases it returns."""
     calls = []
     engine = module._batch_over_reps
 
     def counted(*args, **kwargs):
         result = engine(*args, **kwargs)
-        calls.append(len(result.profit))
+        calls.append(sum(len(runs.profit) for runs in result))
         return result
 
     monkeypatch.setattr(module, "_batch_over_reps", counted)

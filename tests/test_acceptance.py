@@ -102,7 +102,7 @@ def _tune_continuous(product, cfg):
     q_grid = np.unique(np.maximum(
         1, (q_center * np.array([0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5])).astype(int)))
     grid = [ContinuousReview(int(r), int(q)) for r in r_grid for q in q_grid]
-    runs = simulate_cases([(product, model, policy) for policy in grid], cfg).split(len(grid))
+    runs = simulate_cases([(product, model, policy) for policy in grid], cfg)
     return grid[int(np.argmax([part.stats().mean_profit for part in runs]))]
 
 

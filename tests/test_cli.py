@@ -295,6 +295,18 @@ class TestSimulateCommand:
         ]
         assert lines[1:] == expected
 
+    def test_params_for_product_not_in_catalog_rejected(self, capsys, tmp_path, table1_path,
+                                                        rq_params_file):
+        extra = tmp_path / "extra.json"
+        extra.write_text(json.dumps({**json.loads(Path(rq_params_file).read_text()),
+                                     "PrAA": {"reorder_point": 870, "order_quantity": 1440}}))
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "simulate",
+                                 "--policy", "rq", "--params", str(extra),
+                                 "--replications", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config:") and "'PrAA'" in err and str(extra) in err
+
     @pytest.mark.parametrize("policy, misread", [("pq", "review_periode"), ("rq", "review_period")])
     def test_unread_params_field_rejected(self, capsys, tmp_path, table1_path, pq_params_file,
                                           rq_params_file, policy, misread):
@@ -485,6 +497,11 @@ class TestOptimizeInputs:
          "center 0 has 2 coordinates for 4 products"),
         ({"alpha": 1.0, "centers": [[1, 2, 3, 4], [1, 2, 3, 4, 5]], "widths": [1.0, 1.0],
           "weights": [1.0, 1.0]}, "center 1 has 5 coordinates"),
+        ("alpha", "expected a JSON object"),
+        (None, "expected a JSON object"),
+        ({"alpha": 1.0, "centres": [[2000, 18000, 4000, 1300]], "width": [2000.0],
+          "weight": [1.0]}, "unknown field(s) centres, weight, width; "
+                            "a conditioning file reads alpha, centers, widths, weights"),
     ])
     def test_malformed_conditioning_rejected(self, capsys, tmp_path, table1_path,
                                              content, message):

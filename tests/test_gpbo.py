@@ -20,7 +20,6 @@ from invopt.gpbo import (
     expected_improvement,
     gp_fit,
     gp_posterior,
-    kernel_eval,
     probability_of_improvement,
     propose_next,
 )
@@ -48,25 +47,6 @@ def dense_posterior(x_query, x_train, y_train, kernel, noise, prior_mean=0.0, ka
 
 
 class TestKernel:
-    def test_zero_distance_gives_signal_variance(self):
-        k = Kernel(2.5, (1.0, 0.5))
-        assert kernel_eval(k, [1.0, 2.0], [1.0, 2.0]) == 2.5
-
-    def test_symmetry(self):
-        k = Kernel(1.7, (0.8, 1.2, 2.0))
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            a, b = rng.normal(size=3), rng.normal(size=3)
-            assert kernel_eval(k, a, b) == pytest.approx(kernel_eval(k, b, a))
-
-    def test_unit_distance(self):
-        k = Kernel(1.0, (1.0,))
-        assert kernel_eval(k, [0.0], [1.0]) == pytest.approx(math.exp(-0.5))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            kernel_eval(Kernel(1.0, (1.0,)), [0.0, 1.0], [0.0, 1.0])
-
     def test_invalid_hyperparameters(self):
         with pytest.raises(DomainError):
             Kernel(0.0, (1.0,))

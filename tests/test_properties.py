@@ -3,8 +3,8 @@
 Each example draws a product (lead time and starting stock varied), a
 policy of either kind, a lead-time mode (deterministic or MeetOrDelay) and
 an unmet-demand mode (lost sales or backorders), then checks unit
-conservation on every run of a batch and nonnegativity on every day of
-replication 0's trajectory.
+conservation on every run of a batch, the share of demand never served,
+and nonnegativity on every day of replication 0's trajectory.
 """
 
 from dataclasses import astuple, replace
@@ -56,30 +56,49 @@ configs = st.builds(
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(cases=st.lists(st.tuples(products, policies), min_size=1, max_size=3), cfg=configs)
 def test_engine_conserves_units(cases, cfg):
-    runs = simulate_cases([(p, demand_model(p), policy) for p, policy in cases], cfg)
-    start = np.repeat([p.starting_stock for p, _ in cases], cfg.replications)
-
-    np.testing.assert_array_equal(runs.sold_units + runs.unmet_units, runs.demand_units)
-    np.testing.assert_array_equal(
-        start + runs.total_receipts - runs.sold_units - runs.served_late_units,
-        runs.final_on_hand,
-    )
-    assert np.all(runs.final_on_hand >= 0)
-    assert np.all(runs.final_backorders >= 0)
-    assert np.all(runs.total_receipts <= runs.ordered_units)
-    if cfg.unmet_demand == LOST_SALES:
-        assert not runs.served_late_units.any() and not runs.final_backorders.any()
-    else:
+    batch = simulate_cases([(p, demand_model(p), policy) for p, policy in cases], cfg)
+    assert len(batch) == len(cases)
+    for (product, _), runs in zip(cases, batch):
+        assert len(runs.profit) == cfg.replications
+        np.testing.assert_array_equal(runs.sold_units + runs.unmet_units, runs.demand_units)
         np.testing.assert_array_equal(
-            runs.unmet_units - runs.served_late_units, runs.final_backorders
+            product.starting_stock + runs.total_receipts - runs.sold_units
+            - runs.served_late_units,
+            runs.final_on_hand,
         )
+        assert np.all(runs.final_on_hand >= 0)
+        assert np.all(runs.final_backorders >= 0)
+        assert np.all(runs.total_receipts <= runs.ordered_units)
+        if cfg.unmet_demand == LOST_SALES:
+            assert not runs.served_late_units.any() and not runs.final_backorders.any()
+        else:
+            np.testing.assert_array_equal(
+                runs.unmet_units - runs.served_late_units, runs.final_backorders
+            )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(cases=st.lists(st.tuples(products, policies), min_size=1, max_size=3), cfg=configs)
+def test_never_served_is_lost_units_or_final_backorders(cases, cfg):
+    """The share of demand never served counts the lost units under lost
+    sales and the backorders still queued at the horizon under backorders."""
+    for runs in simulate_cases([(p, demand_model(p), policy) for p, policy in cases], cfg):
+        never_served = runs.unmet_units if cfg.unmet_demand == LOST_SALES else runs.final_backorders
+        demand = runs.demand_units
+        np.testing.assert_array_equal(
+            runs.lost_order_fraction,
+            np.where(demand > 0, never_served / np.maximum(demand, 1), 0.0),
+        )
+        total = int(demand.sum())
+        expected = int(never_served.sum()) / total if total > 0 else 0.0
+        assert runs.stats().lost_order_fraction == expected
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(product=products, policy=policies, cfg=configs)
 def test_daily_trajectory_is_nonnegative_and_balanced(product, policy, cfg):
     records = simulate_once(product, demand_model(product), policy, cfg).records
-    run = simulate_cases([(product, demand_model(product), policy)], cfg)
+    [run] = simulate_cases([(product, demand_model(product), policy)], cfg)
 
     assert [r.day for r in records] == list(range(1, cfg.horizon + 1))
     for r in records:

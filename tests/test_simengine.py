@@ -261,7 +261,8 @@ class TestMixedBatch:
     def test_equals_per_case_replication_samples(self, products, mode):
         cfg = small_cfg(replications=12, **mode)
         cases = self.cases(products)
-        parts = simulate_cases(cases, cfg).split(len(cases))
+        parts = simulate_cases(cases, cfg)
+        assert len(parts) == len(cases)
         for case, part in zip(cases, parts):
             self.assert_same_runs(part, replication_samples(*case, cfg))
 
@@ -270,18 +271,20 @@ class TestMixedBatch:
         cases = self.cases(products)
         ids = np.random.default_rng(3).permutation(6)
         shuffled = _batch_over_reps(cases, cfg, ids)
-        order = (np.arange(len(cases))[:, None] * 6 + ids).ravel()  # run c * 6 + j: case c, ids[j]
-        self.assert_same_runs(shuffled, simulate_cases(cases, cfg), order)
+        in_order = simulate_cases(cases, cfg)
+        assert len(shuffled) == len(in_order) == len(cases)
+        for case_shuffled, case_in_order in zip(shuffled, in_order):
+            self.assert_same_runs(case_shuffled, case_in_order, ids)  # run j is stream id ids[j]
 
     @modes
     def test_records_are_first_case_replication_zero(self, products, mode):
         cfg = small_cfg(replications=5, horizon=90, **mode)
         cases = self.cases(products)[::-1]  # case 0 under continuous review
-        assert simulate_cases(cases, cfg).records == ()
+        assert [part.records for part in simulate_cases(cases, cfg)] == [()] * len(cases)
         batch = simulate_cases(cases, cfg, record=True)
-        assert len(batch.records) == len(cases) * cfg.horizon
-        assert batch.records[:cfg.horizon] == simulate_once(*cases[0], cfg).records
-        for case, part in zip(cases, batch.split(len(cases))):
+        assert len(batch) == len(cases)
+        for case, part in zip(cases, batch):
+            assert len(part.records) == cfg.horizon
             assert part.records == simulate_once(*case, cfg).records
 
 
@@ -328,12 +331,14 @@ class TestStreamsPerCall:
         rep_ids = [3 * chunk, 0, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 5, 3 * chunk + 2]
         cfg = small_cfg(horizon=120, **mode)
         batch = _batch_over_reps(cases, cfg, rep_ids)
-        runs = [(c, rep) for c in range(len(cases)) for rep in rep_ids]
-        for run, (c, rep) in enumerate(runs):
-            single = simulate_once(*cases[c], cfg, rep)
-            for f in fields(RunSamples):
-                if isinstance(getattr(batch, f.name), np.ndarray):
-                    assert getattr(batch, f.name)[run] == getattr(single, f.name)[0], (f.name, run)
+        assert len(batch) == len(cases)
+        for c, (case, runs) in enumerate(zip(cases, batch)):
+            assert len(runs.profit) == len(rep_ids)
+            for j, rep in enumerate(rep_ids):
+                single = simulate_once(*case, cfg, rep)
+                for f in fields(RunSamples):
+                    if isinstance(getattr(runs, f.name), np.ndarray):
+                        assert getattr(runs, f.name)[j] == getattr(single, f.name)[0], (f.name, c, j)
 
 
 class TestBlocks:
@@ -361,15 +366,13 @@ class TestBlocks:
         monkeypatch.setattr(simengine, "BLOCK_ROWS", 7)  # two models: 3 ids a block
         blocked = _batch_over_reps(cases, cfg, rep_ids, record=True)
         assert sampled == [3] * 10
-        TestMixedBatch.assert_same_runs(blocked, one_block)
-        assert blocked.records == one_block.records
-        # every case's run on rep_ids[0], case after case
-        h = cfg.horizon
-        for c, case in enumerate(cases):
-            assert blocked.records[c * h:(c + 1) * h] == simulate_once(
-                *case, cfg, int(rep_ids[0])).records
-        parts = simulate_cases(cases, cfg, record=True).split(len(cases))
-        for case, part in zip(cases, parts):
+        assert len(blocked) == len(one_block) == len(cases)
+        for case, blocked_runs, one_block_runs in zip(cases, blocked, one_block):
+            TestMixedBatch.assert_same_runs(blocked_runs, one_block_runs)
+            assert blocked_runs.records == one_block_runs.records
+            # each case's run on rep_ids[0]
+            assert blocked_runs.records == simulate_once(*case, cfg, int(rep_ids[0])).records
+        for case, part in zip(cases, simulate_cases(cases, cfg, record=True)):
             assert part.records == simulate_once(*case, cfg).records
 
     def test_memory_bounded_by_block(self, table1_path):
@@ -384,7 +387,7 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(runs.profit) == 4 * 5000
+        assert [len(part.profit) for part in runs] == [5000] * 4
         assert peak < 10 * 2**20
 
 
@@ -410,9 +413,12 @@ def test_catalog_cases_in_catalog_order(catalog):
     params = {p.name: PeriodicReview(30, 1000 + i) for i, p in reversed(list(enumerate(catalog)))}
     assert catalog_cases(catalog, params) == [(p, demand_model(p), PeriodicReview(30, 1000 + i))
                                               for i, p in enumerate(catalog)]
-    del params["PrC"]
+    params["PrZ"] = params.pop("PrC")
     with pytest.raises(ConfigError, match="missing.*'PrC'"):
         catalog_cases(catalog, params)
+    params["PrC"] = PeriodicReview(30, 1002)
+    with pytest.raises(ConfigError, match="params: params for product 'PrZ', which is not in"):
+        catalog_cases(catalog, params, "params")
 
 
 class TestPolicyValidation:

@@ -64,7 +64,10 @@ def test_engine_wrappers_bind(pra):
     assert traced.simulate_once(*case, cfg, replication=2).profit == cli.simulate_once(
         *case, cfg, 2).profit
     batch = modules["objectives"]._batch_over_reps([case, case], cfg, [0, 1])
-    assert (batch.profit == objectives._batch_over_reps([case, case], cfg, [0, 1]).profit).all()
+    direct = objectives._batch_over_reps([case, case], cfg, [0, 1])
+    assert len(batch) == len(direct) == 2
+    for traced_runs, runs in zip(batch, direct):
+        assert (traced_runs.profit == runs.profit).all()
     assert tracer.counts["engine.calls"] == 4
 
 
