@@ -79,6 +79,7 @@ from .simengine import (
     ReplicationStats,
     RunSamples,
     SimConfig,
+    catalog_cases,
     compare_policies,
     demand_model,
     replicate,

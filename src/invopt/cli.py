@@ -170,9 +170,16 @@ def _load_json(path: str):
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
 
 
+def _real(value) -> float:
+    """A JSON number as a float; booleans, strings and other values are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _whole(value) -> int:
-    """A parameter value as an int; booleans and fractions are rejected, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A JSON number as an int; booleans, strings and fractions are rejected."""
+    if isinstance(value, bool) or (not isinstance(value, int) and not _real(value).is_integer()):
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
@@ -187,30 +194,29 @@ def _check_fields(where: str, entry, reader: str, read: tuple[str, ...]) -> None
                           f"{reader} reads {', '.join(read)}")
 
 
-def _load_params(path: str, policy: str) -> dict:
+_POLICIES = {"pq": PeriodicReview, "rq": ContinuousReview}
+
+
+def _load_cases(path: str, policy: str, catalog) -> list:
+    """The catalog's cases under the per-product `policy` params in JSON file
+    `path`; a pq entry without a review_period gets DEFAULT_REVIEW_PERIOD."""
     raw = _load_json(path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object of per-product params")
-    read = (("review_period", "order_up_to") if policy == "pq"
-            else ("reorder_point", "order_quantity"))
+    kind = _POLICIES[policy]
+    read = tuple(f.name for f in fields(kind))
+    defaults = {"review_period": DEFAULT_REVIEW_PERIOD} if policy == "pq" else {}
     params = {}
     for name, entry in raw.items():
         _check_fields(f"{path}: product {name!r}", entry, f"a {policy} policy", read)
+        entry = {**defaults, **entry}
         try:
-            if policy == "pq":
-                params[name] = PeriodicReview(
-                    _whole(entry.get("review_period", DEFAULT_REVIEW_PERIOD)),
-                    _whole(entry["order_up_to"]),
-                )
-            else:
-                params[name] = ContinuousReview(
-                    _whole(entry["reorder_point"]), _whole(entry["order_quantity"])
-                )
+            params[name] = kind(**{field: _whole(entry[field]) for field in read})
         except KeyError as exc:
             raise ConfigError(f"{path}: product {name!r}: missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: product {name!r}: {exc}") from None
-    return params
+    return catalog_cases(catalog, params, path)
 
 
 # where reports go, not what is in them: left out of the manifest
@@ -319,7 +325,7 @@ def _cmd_simulate(args, catalog) -> int:
     cfg = _sim_config(args)
     if args.bins < 1:
         raise ConfigError(f"--bins {args.bins} must be >= 1")
-    cases = catalog_cases(catalog, _load_params(args.params, args.policy), args.params)
+    cases = _load_cases(args.params, args.policy, catalog)
     batch = simulate_cases(cases, cfg, record=args.emit_trajectory is not None)
     lines = ["product,policy,mean_profit,profit_std,lost_order_fraction,"
              "fill_rate,mean_orders_placed,replications"]
@@ -364,11 +370,8 @@ def _cmd_sweep(args, catalog) -> int:
 
 def _cmd_compare(args, catalog) -> int:
     cfg = _sim_config(args)
-    comparison = compare_policies(
-        catalog, cfg,
-        _load_params(args.pq_params, "pq"),
-        _load_params(args.rq_params, "rq"),
-    )
+    comparison = compare_policies(_load_cases(args.pq_params, "pq", catalog),
+                                  _load_cases(args.rq_params, "rq", catalog), cfg)
     lines = ["product,policy,mean_profit,profit_std,lost_order_fraction,fill_rate"]
     for name, (pq_stats, rq_stats) in comparison.per_product.items():
         for label, stats in (("pq", pq_stats), ("rq", rq_stats)):
@@ -384,8 +387,8 @@ def _cmd_optimize(args, catalog) -> int:
     objective = policy_profit_objective(catalog, _sim_config(args), mode)
     if args.bounds is not None:
         try:
-            bounds = tuple((float(lo), float(hi)) for lo, hi in _load_json(args.bounds))
-        except (TypeError, ValueError):
+            bounds = tuple((_real(lo), _real(hi)) for lo, hi in _load_json(args.bounds))
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{args.bounds}: bounds must be a list of [lo, hi] pairs") from None
         if any(not abs(v) <= MAX_POLICY_UNITS for pair in bounds for v in pair):
             raise ConfigError(f"{args.bounds}: bounds must lie within +-2**40")
@@ -400,14 +403,14 @@ def _cmd_optimize(args, catalog) -> int:
                       ("alpha", "centers", "widths", "weights"))
         try:
             conditioning = ConditioningFn(
-                alpha=float(raw["alpha"]),
-                centers=tuple(tuple(map(float, c)) for c in raw.get("centers", ())),
-                widths=tuple(map(float, raw.get("widths", ()))),
-                weights=tuple(map(float, raw.get("weights", ()))),
+                alpha=_real(raw["alpha"]),
+                centers=tuple(tuple(map(_real, c)) for c in raw.get("centers", ())),
+                widths=tuple(map(_real, raw.get("widths", ()))),
+                weights=tuple(map(_real, raw.get("weights", ()))),
             )
         except KeyError as exc:
             raise ConfigError(f"{args.conditioning}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{args.conditioning}: {exc}") from None
         for i, center in enumerate(conditioning.centers):
             if len(center) != objective.dim:
@@ -429,7 +432,7 @@ def _cmd_optimize(args, catalog) -> int:
 
 def _cmd_sensitivity(args, catalog) -> int:
     cfg = _sim_config(args)
-    params = _load_params(args.params, args.policy)
+    cases = _load_cases(args.params, args.policy, catalog)
     if args.variables is not None:
         variables = [v.strip() for v in args.variables.split(",") if v.strip()]
         if not variables:
@@ -440,11 +443,9 @@ def _cmd_sensitivity(args, catalog) -> int:
         deltas = tuple(float(d) for d in args.deltas.split(","))
     except ValueError:
         raise ConfigError(f"--deltas must be comma-separated numbers, got {args.deltas!r}") from None
-    cases = catalog_cases(catalog, params, args.params)
-
     specs = [SensitivitySpec(variable, deltas) for variable in variables]
     if args.mode == "resim":
-        rows = sensitivity_resim(catalog, params, cfg, *specs)
+        rows = sensitivity_resim(cases, cfg, *specs)
     else:
         baseline = {
             p.name: BaselineOutputs.from_stats(runs.stats(), policy_safety_stock(p, policy))

@@ -6,9 +6,11 @@ Two modes:
   output (expected profit); profit std dev and the lost-order fraction are
   never scaled (a fraction cannot scale multiplicatively and stay in [0, 1])
   and are copied with a requires-resimulation marker.
-* Resimulate — perturb the named policy variable, round to integer units,
-  and rerun the replications under the baseline seed (common random
-  numbers), so a zero delta reproduces the baseline bit-exactly.
+* Resimulate — perturb the named policy variable of each (product, demand
+  model, policy) case, round to integer units, and rerun the replications
+  under the baseline seed (common random numbers), so a zero delta
+  reproduces the baseline bit-exactly.  It takes the cases as built once by
+  ``simengine.catalog_cases`` and fits no demand model of its own.
 
 Both modes take any number of specs; resimulation runs every (variable,
 delta, product) case in one engine call.  Emitted rows cover every
@@ -20,24 +22,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .catalog import Catalog, ProductSpec
+from .catalog import ProductSpec
 from .errors import ConfigError
 from .simengine import (
+    Case,
     ContinuousReview,
-    PeriodicReview,
     PolicyParams,
     ReplicationStats,
     SimConfig,
-    catalog_cases,
     simulate_cases,
 )
 
-POLICY_VARIABLES = ("oup", "reorder_point", "order_quantity")
+# the policy field each resimulatable variable perturbs
+POLICY_FIELDS = {"oup": "order_up_to", "reorder_point": "reorder_point",
+                 "order_quantity": "order_quantity"}
 LINEAR_ONLY_VARIABLES = ("expected_profit", "selling_price", "safety_stock")
 NONLINEAR_OUTPUTS = ("profit_std", "lost_orders")
-KNOWN_VARIABLES = POLICY_VARIABLES + LINEAR_ONLY_VARIABLES + NONLINEAR_OUTPUTS
+KNOWN_VARIABLES = (*POLICY_FIELDS, *LINEAR_ONLY_VARIABLES, *NONLINEAR_OUTPUTS)
 
 DEFAULT_DELTAS = (0.10, -0.05)
 
@@ -125,45 +128,27 @@ def sensitivity_linear(
 
 
 def _perturb(policy: PolicyParams, variable: str, delta: float, product: str) -> PolicyParams:
-    def scaled(value: int) -> int:
-        new = int(round(value * (1.0 + delta)))
-        if new <= 0:
-            raise ConfigError(
-                f"product {product!r}: delta {delta:+g} drives {variable} "
-                f"from {value} to {new} (must stay positive)"
-            )
-        return new
-
-    if variable == "oup":
-        if not isinstance(policy, PeriodicReview):
-            raise ConfigError(f"variable 'oup' requires a periodic-review policy")
-        return replace(policy, order_up_to=scaled(policy.order_up_to))
-    if variable == "reorder_point":
-        if not isinstance(policy, ContinuousReview):
-            raise ConfigError("variable 'reorder_point' requires a continuous-review policy")
-        return replace(policy, reorder_point=scaled(policy.reorder_point))
-    if variable == "order_quantity":
-        if not isinstance(policy, ContinuousReview):
-            raise ConfigError("variable 'order_quantity' requires a continuous-review policy")
-        return replace(policy, order_quantity=scaled(policy.order_quantity))
-    raise ConfigError(f"variable {variable!r} cannot be resimulated; use linear mode")
+    field = POLICY_FIELDS.get(variable)
+    if field is None:
+        raise ConfigError(f"variable {variable!r} is not resimulatable; "
+                          f"choose one of {', '.join(POLICY_FIELDS)}")
+    if not hasattr(policy, field):
+        raise ConfigError(f"variable {variable!r} perturbs {field}, "
+                          f"which a {type(policy).__name__} policy does not have")
+    value = getattr(policy, field)
+    new = int(round(value * (1.0 + delta)))
+    if new <= 0:
+        raise ConfigError(f"product {product!r}: delta {delta:+g} drives {variable} "
+                          f"from {value} to {new} (must stay positive)")
+    return replace(policy, **{field: new})
 
 
 def sensitivity_resim(
-    catalog: Catalog,
-    params: Mapping[str, PolicyParams],
-    cfg: SimConfig,
-    *specs: SensitivitySpec,
+    cases: Sequence[Case], cfg: SimConfig, *specs: SensitivitySpec
 ) -> list[SensitivityRow]:
-    """Rerun the replications with each spec's variable perturbed, all in one
-    engine call under the baseline seed; rows carry the simulated outputs."""
-    for spec in specs:
-        if spec.variable not in POLICY_VARIABLES:
-            raise ConfigError(
-                f"variable {spec.variable!r} is not resimulatable; "
-                f"choose one of {', '.join(POLICY_VARIABLES)}"
-            )
-    cases = catalog_cases(catalog, params)
+    """Rerun the replications of every (product, demand model, policy) case
+    with each spec's variable perturbed, all in one engine call under the
+    baseline seed; rows carry the simulated outputs."""
     perturbed = [(spec.variable, delta,
                   (product, demand, _perturb(policy, spec.variable, delta, product.name)))
                  for spec in specs for delta in spec.deltas for product, demand, policy in cases]

@@ -236,8 +236,10 @@ def catalog_cases(
     catalog: Catalog, params: Mapping[str, PolicyParams], source: str = "policy"
 ) -> list[Case]:
     """The (product, demand model, policy) case of every catalog product, in
-    catalog order.  Every product needs params, and every params entry a
-    product: `source` names the params in the error."""
+    catalog order, with each product's demand model fit once; these are the
+    cases that `compare_policies` and `sensitivity_resim` take.  Every product
+    needs params, and every params entry a product: `source` names the params
+    in the error."""
     for product in catalog:
         if product.name not in params:
             raise ConfigError(f"{source}: missing params for product {product.name!r}")
@@ -493,22 +495,22 @@ class PolicyComparison:
     relative_difference: float  # (continuous - periodic) / periodic
 
 
-def compare_policies(
-    catalog: Catalog,
-    cfg: SimConfig,
-    pq_params: Mapping[str, PolicyParams],
-    rq_params: Mapping[str, PolicyParams],
-) -> PolicyComparison:
-    """Expected-profit comparison of two policy assignments over a catalog.
+def compare_policies(pq_cases: Sequence[Case], rq_cases: Sequence[Case],
+                     cfg: SimConfig) -> PolicyComparison:
+    """Expected-profit comparison of two policy assignments: one case per
+    product on each side, each product once, named alike and in the same order.
 
     Both sides see identical demand per replication (common random numbers),
     so the comparison isolates the policy effect; identical assignments on
     both sides give a relative difference of exactly zero.
     """
-    cases = (catalog_cases(catalog, pq_params, "periodic review")
-             + catalog_cases(catalog, rq_params, "continuous review"))
-    stats = [runs.stats() for runs in simulate_cases(cases, cfg)]
-    per_product = {p.name: (stats[i], stats[i + len(catalog)]) for i, p in enumerate(catalog)}
+    names = [product.name for product, _, _ in pq_cases]
+    rq_names = [product.name for product, _, _ in rq_cases]
+    if names != rq_names or len(set(names)) < len(names):
+        raise ConfigError(f"the two sides must name each product once, in one order: "
+                          f"{', '.join(names)} against {', '.join(rq_names)}")
+    stats = [runs.stats() for runs in simulate_cases([*pq_cases, *rq_cases], cfg)]
+    per_product = {name: (stats[i], stats[i + len(names)]) for i, name in enumerate(names)}
     total_pq = sum(s.mean_profit for s, _ in per_product.values())
     total_rq = sum(s.mean_profit for _, s in per_product.values())
     rel = (total_rq - total_pq) / total_pq if total_pq != 0 else math.inf

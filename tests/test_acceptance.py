@@ -30,6 +30,7 @@ from invopt.simengine import (
     ContinuousReview,
     PeriodicReview,
     SimConfig,
+    catalog_cases,
     compare_policies,
     replicate,
     replication_samples,
@@ -112,7 +113,8 @@ def test_criterion_2_policy_comparison_direction():
         pq = {p.name: _tune_periodic(p, tune_cfg) for p in PRODUCTS}
         rq = {p.name: _tune_continuous(p, tune_cfg) for p in PRODUCTS}
         eval_cfg = SimConfig(horizon=365, replications=1_000, seed=123)
-        comparison = compare_policies(CATALOG, eval_cfg, pq, rq)
+        comparison = compare_policies(catalog_cases(CATALOG, pq), catalog_cases(CATALOG, rq),
+                                      eval_cfg)
         assert comparison.total_continuous_profit >= 1.05 * comparison.total_periodic_profit
         print(f"  (relative difference: {comparison.relative_difference:+.2%})")
 

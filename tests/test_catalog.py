@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from invopt.catalog import (
@@ -34,7 +36,7 @@ def test_load_empty_file(tmp_path):
 
 
 def test_load_header_only(tmp_path, table1_path):
-    header = open(table1_path).readline()
+    header = Path(table1_path).read_text().splitlines(keepends=True)[0]
     path = tmp_path / "header.csv"
     path.write_text(header)
     with pytest.raises(ValidationError, match="empty catalog"):
@@ -42,7 +44,7 @@ def test_load_header_only(tmp_path, table1_path):
 
 
 def test_load_bad_probability(tmp_path, table1_path):
-    text = open(table1_path).read().replace("0.76", "1.3")
+    text = Path(table1_path).read_text().replace("0.76", "1.3")
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(ValidationError) as err:
@@ -59,7 +61,7 @@ def test_load_bad_header(tmp_path):
 
 
 def test_load_non_numeric_cell(tmp_path, table1_path):
-    text = open(table1_path).read().replace("37.32", "n/a")
+    text = Path(table1_path).read_text().replace("37.32", "n/a")
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(ParseError, match="line 2"):
@@ -69,7 +71,7 @@ def test_load_non_numeric_cell(tmp_path, table1_path):
 @pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
 @pytest.mark.parametrize("column", CSV_HEADER.split(",")[1:])
 def test_load_non_finite_cell(tmp_path, table1_path, column, raw):
-    lines = open(table1_path).read().splitlines()
+    lines = Path(table1_path).read_text().splitlines()
     cells = lines[2].split(",")
     cells[CSV_HEADER.split(",").index(column)] = raw
     lines[2] = ",".join(cells)
@@ -80,7 +82,7 @@ def test_load_non_finite_cell(tmp_path, table1_path, column, raw):
 
 
 def test_load_wrong_column_count(tmp_path, table1_path):
-    lines = open(table1_path).read().splitlines()
+    lines = Path(table1_path).read_text().splitlines()
     lines[2] = lines[2] + ",extra"
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(lines) + "\n")

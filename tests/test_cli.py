@@ -99,7 +99,7 @@ class TestParsing:
 
     def test_validation_error_prefix(self, capsys, tmp_path, table1_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text(open(table1_path).read().replace("0.76", "1.9"))
+        bad.write_text(Path(table1_path).read_text().replace("0.76", "1.9"))
         code, _, err = run_cli(capsys, "--catalog", str(bad), "eoq")
         assert code == 2
         assert err.startswith("validate:")
@@ -107,7 +107,7 @@ class TestParsing:
     @pytest.mark.parametrize("column, raw", [("lead_time", "inf"), ("lead_time", "nan"),
                                              ("annual_demand", "inf"), ("selling_price", "inf")])
     def test_non_finite_catalog_cell_exits_2(self, capsys, tmp_path, table1_path, column, raw):
-        lines = open(table1_path).read().splitlines()
+        lines = Path(table1_path).read_text().splitlines()
         cells = lines[1].split(",")
         cells[lines[0].split(",").index(column)] = raw
         bad = tmp_path / "bad.csv"
@@ -323,15 +323,16 @@ class TestSimulateCommand:
         assert out == ""
         assert err.startswith("config:") and misread in err and "PrA" in err
 
-    @pytest.mark.parametrize("value", [812.9, True])
+    @pytest.mark.parametrize("value", [812.9, True, "870"])
     def test_non_integral_params_rejected(self, capsys, tmp_path, table1_path, value):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"PrA": {"reorder_point": value, "order_quantity": 1440}}))
-        code, _, err = run_cli(capsys, "--catalog", table1_path, "simulate",
-                               "--policy", "rq", "--params", str(bad),
-                               "--replications", "2")
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "simulate",
+                                 "--policy", "rq", "--params", str(bad),
+                                 "--replications", "2")
         assert code == 2
-        assert err.startswith("config:")
+        assert out == ""
+        assert err.startswith(f"config: {bad}: product 'PrA': ")
 
     @pytest.mark.parametrize("content", [[1, 2], "PrA", {"PrA": 5}, {"PrA": [870, 1440]}])
     def test_non_object_params_rejected(self, capsys, tmp_path, table1_path, content):
@@ -402,6 +403,27 @@ class TestCompareCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("config:") and "JSON object" in err
+
+    @pytest.mark.parametrize("edit", ["extra", "missing"])
+    def test_params_catalog_mismatch_names_file(self, capsys, monkeypatch, tmp_path,
+                                                table1_path, pq_params_file, rq_params_file,
+                                                edit):
+        calls = count_engine_calls(monkeypatch, simengine)
+        raw = json.loads(Path(rq_params_file).read_text())
+        if edit == "extra":
+            raw["PrAA"] = {"reorder_point": 870, "order_quantity": 1440}
+        else:
+            del raw["PrD"]
+        bad = tmp_path / "bad-rq.json"
+        bad.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "compare",
+                                 "--pq-params", pq_params_file, "--rq-params", str(bad),
+                                 "--replications", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config: {bad}: ")
+        assert ("'PrAA'" if edit == "extra" else "'PrD'") in err
+        assert calls == []
 
 
 class TestOptimizeCommand:
@@ -477,8 +499,15 @@ class TestOptimizeInputs:
         assert out == "" and err.startswith("io:")
         assert calls == []
 
-    @pytest.mark.parametrize("content", [[1, 5000], [[1, 2, 3]], [["a", 5000]], {"lo": 1}])
-    def test_malformed_bounds_rejected(self, capsys, tmp_path, table1_path, content):
+    @pytest.mark.parametrize("content", [
+        [1, 5000], [[1, 2, 3]], [["a", 5000]], {"lo": 1},
+        [["1", 3000], [1, 30000], [1, 6000], [1, 3000]],
+        [[1, 3000], [1, 30000], [True, 6000], [1, 3000]],
+        [[1, 3000], [1, 30000], [1, 6000], [1, 10**400]],
+    ])
+    def test_malformed_bounds_rejected(self, capsys, monkeypatch, tmp_path, table1_path,
+                                       content):
+        calls = count_engine_calls(monkeypatch, objectives)
         bounds = tmp_path / "bounds.json"
         bounds.write_text(json.dumps(content))
         code, out, err = run_cli(capsys, "--catalog", table1_path, "optimize",
@@ -486,7 +515,8 @@ class TestOptimizeInputs:
                                  "--initial-design", "4", "--replications", "2")
         assert code == 2
         assert out == ""
-        assert err.startswith("config:") and "[lo, hi]" in err
+        assert err.startswith(f"config: {bounds}: ") and "[lo, hi]" in err
+        assert calls == []
 
     @pytest.mark.parametrize("content, message", [
         ({"centers": []}, "missing field 'alpha'"),
@@ -502,6 +532,15 @@ class TestOptimizeInputs:
         ({"alpha": 1.0, "centres": [[2000, 18000, 4000, 1300]], "width": [2000.0],
           "weight": [1.0]}, "unknown field(s) centres, weight, width; "
                             "a conditioning file reads alpha, centers, widths, weights"),
+        ({"alpha": "1.0"}, "'1.0' is not a number"),
+        ({"alpha": True}, "True is not a number"),
+        ({"alpha": 1.0, "centers": [["2000", 18000, 4000, 1300]], "widths": [2000.0],
+          "weights": [1.0]}, "'2000' is not a number"),
+        ({"alpha": 1.0, "centers": [[2000, 18000, 4000, 1300]], "widths": [True],
+          "weights": [1.0]}, "True is not a number"),
+        ({"alpha": 1.0, "centers": [[2000, 18000, 4000, 1300]], "widths": [2000.0],
+          "weights": ["1"]}, "'1' is not a number"),
+        ({"alpha": 10**400}, "too large"),
     ])
     def test_malformed_conditioning_rejected(self, capsys, tmp_path, table1_path,
                                              content, message):
@@ -512,7 +551,7 @@ class TestOptimizeInputs:
                                  "--initial-design", "4", "--replications", "2")
         assert code == 2
         assert out == ""
-        assert err.startswith("config:") and message in err
+        assert err.startswith(f"config: {cond}: ") and message in err
 
     @pytest.mark.parametrize("content", [
         '{"alpha": NaN}',
@@ -566,6 +605,22 @@ class TestSensitivityCommand:
                              "--horizon", "30")
         assert code == 0
         assert calls == [2 * 3 * 4 * 3]  # variables x deltas x products x replications
+
+    def test_resim_fits_each_demand_model_once(self, capsys, monkeypatch, table1_path,
+                                                rq_params_file):
+        fitted = []
+        fit = simengine.demand_model
+
+        def counted(product):
+            fitted.append(product.name)
+            return fit(product)
+
+        monkeypatch.setattr(simengine, "demand_model", counted)
+        code, _, _ = run_cli(capsys, "--catalog", table1_path, "sensitivity", "--mode", "resim",
+                             "--policy", "rq", "--params", rq_params_file,
+                             "--replications", "3", "--horizon", "30")
+        assert code == 0
+        assert fitted == ["PrA", "PrB", "PrC", "PrD"]
 
     def test_bad_deltas(self, capsys, table1_path, pq_params_file):
         for mode in ("linear", "resim"):

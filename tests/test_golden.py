@@ -25,6 +25,7 @@ from invopt.simengine import (
     PeriodicReview,
     ReplicationStats,
     SimConfig,
+    catalog_cases,
     compare_policies,
     replicate,
     replication_samples,
@@ -122,8 +123,8 @@ RQ_PARAMS = {"PrA": ContinuousReview(870, 1440), "PrB": ContinuousReview(2790, 2
 
 
 def test_compare_golden(catalog):
-    cmp = compare_policies(catalog, SimConfig(horizon=365, replications=40, seed=9),
-                           PQ_PARAMS, RQ_PARAMS)
+    cmp = compare_policies(catalog_cases(catalog, PQ_PARAMS), catalog_cases(catalog, RQ_PARAMS),
+                           SimConfig(horizon=365, replications=40, seed=9))
     assert cmp.per_product == {
         "PrA": (ReplicationStats(77102.76373287675, 2464.982774200449, 0.20060872934916527,
                                  0.7993912706508347, 12.0, 40),
@@ -149,14 +150,16 @@ def test_compare_golden(catalog):
 def test_compare_backorder_meet_or_delay_golden(catalog):
     cfg = SimConfig(horizon=365, replications=30, seed=21, unmet_demand=BACKORDER,
                     lead_time_mode=MeetOrDelay(0.7, 1.5))
-    cmp = compare_policies(catalog, cfg, PQ_PARAMS, RQ_PARAMS)
+    cmp = compare_policies(catalog_cases(catalog, PQ_PARAMS), catalog_cases(catalog, RQ_PARAMS),
+                           cfg)
     assert cmp.total_periodic_profit == 925690.4151598173
     assert cmp.total_continuous_profit == 875981.4605936073
     assert cmp.relative_difference == -0.0536993294433409
 
 
 def test_sensitivity_resim_golden(catalog):
-    rows = sensitivity_resim(catalog, RQ_PARAMS, SimConfig(horizon=365, replications=30, seed=4),
+    rows = sensitivity_resim(catalog_cases(catalog, RQ_PARAMS),
+                             SimConfig(horizon=365, replications=30, seed=4),
                              SensitivitySpec("order_quantity", (0.1, -0.05)))
 
     def row(delta, product, profit, std, lost, safety):

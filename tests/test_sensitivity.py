@@ -11,7 +11,13 @@ from invopt.sensitivity import (
     sensitivity_linear,
     sensitivity_resim,
 )
-from invopt.simengine import ContinuousReview, PeriodicReview, SimConfig, replicate
+from invopt.simengine import (
+    ContinuousReview,
+    PeriodicReview,
+    SimConfig,
+    catalog_cases,
+    replicate,
+)
 from invopt.stochastic import DemandModel
 
 from conftest import count_engine_calls
@@ -109,7 +115,7 @@ class TestResimMode:
         cfg = SimConfig(horizon=200, replications=20, seed=5)
         params = {"PrA": PeriodicReview(30, 2071)}
         base_stats = replicate(pra, demand_for(pra), params["PrA"], cfg)
-        rows = sensitivity_resim(cat, params, cfg, SensitivitySpec("oup", (0.0,)))
+        rows = sensitivity_resim(catalog_cases(cat, params), cfg, SensitivitySpec("oup", (0.0,)))
         assert rows[0].profit == base_stats.mean_profit
         assert rows[0].profit_std == base_stats.profit_std
         assert rows[0].lost_orders == base_stats.lost_order_fraction
@@ -120,7 +126,7 @@ class TestResimMode:
         cfg = SimConfig(horizon=365, replications=20, seed=6)
         params = {"PrA": PeriodicReview(30, 2000)}
         base = replicate(pra, demand_for(pra), params["PrA"], cfg)
-        rows = sensitivity_resim(cat, params, cfg, SensitivitySpec("oup", (0.10,)))
+        rows = sensitivity_resim(catalog_cases(cat, params), cfg, SensitivitySpec("oup", (0.10,)))
         assert rows[0].lost_orders <= base.lost_order_fraction
 
     def test_reorder_point_decrease_loses_at_least_baseline(self, products):
@@ -130,7 +136,7 @@ class TestResimMode:
         params = {"PrA": ContinuousReview(900, 1700)}
         base = replicate(pra, demand_for(pra), params["PrA"], cfg)
         rows = sensitivity_resim(
-            cat, params, cfg, SensitivitySpec("reorder_point", (-0.05,))
+            catalog_cases(cat, params), cfg, SensitivitySpec("reorder_point", (-0.05,))
         )
         assert rows[0].lost_orders >= base.lost_order_fraction
 
@@ -138,7 +144,7 @@ class TestResimMode:
         cfg = SimConfig(horizon=60, replications=4, seed=8)
         params = {p.name: PeriodicReview(30, 3000) for p in catalog}
         rows = sensitivity_resim(
-            catalog, params, cfg, SensitivitySpec("oup", (0.10, -0.05))
+            catalog_cases(catalog, params), cfg, SensitivitySpec("oup", (0.10, -0.05))
         )
         combos = [(r.delta, r.product) for r in rows]
         assert combos == [(d, p.name) for d in (0.10, -0.05) for p in catalog]
@@ -150,7 +156,7 @@ class TestResimMode:
         params = {"PrA": ContinuousReview(1, 1700)}
         with pytest.raises(ConfigError, match="positive"):
             sensitivity_resim(
-                cat, params, cfg, SensitivitySpec("reorder_point", (-0.9,))
+                catalog_cases(cat, params), cfg, SensitivitySpec("reorder_point", (-0.9,))
             )
 
     def test_variable_policy_mismatch_rejected(self, products):
@@ -159,7 +165,7 @@ class TestResimMode:
         cfg = SimConfig(horizon=30, replications=2, seed=10)
         with pytest.raises(ConfigError):
             sensitivity_resim(
-                cat, {"PrA": ContinuousReview(900, 1700)}, cfg,
+                catalog_cases(cat, {"PrA": ContinuousReview(900, 1700)}), cfg,
                 SensitivitySpec("oup", (0.1,)),
             )
 
@@ -167,28 +173,28 @@ class TestResimMode:
         cfg = SimConfig(horizon=30, replications=2, seed=11)
         with pytest.raises(ConfigError, match="missing"):
             sensitivity_resim(
-                catalog, {"PrA": PeriodicReview(30, 2000)}, cfg,
+                catalog_cases(catalog, {"PrA": PeriodicReview(30, 2000)}), cfg,
                 SensitivitySpec("oup", (0.1,)),
             )
 
     def test_several_specs_in_one_engine_call(self, catalog, monkeypatch):
         cfg = SimConfig(horizon=90, replications=5, seed=13)
-        params = {p.name: ContinuousReview(900, 1700) for p in catalog}
+        cases = catalog_cases(catalog, {p.name: ContinuousReview(900, 1700) for p in catalog})
         specs = (SensitivitySpec("reorder_point", (0.1, -0.05)),
                  SensitivitySpec("order_quantity", (0.2,)))
         one_at_a_time = [row for spec in specs
-                         for row in sensitivity_resim(catalog, params, cfg, spec)]
+                         for row in sensitivity_resim(cases, cfg, spec)]
         calls = count_engine_calls(monkeypatch, simengine)
-        assert sensitivity_resim(catalog, params, cfg, *specs) == one_at_a_time
+        assert sensitivity_resim(cases, cfg, *specs) == one_at_a_time
         assert calls == [3 * len(catalog) * 5]
-        assert sensitivity_resim(catalog, params, cfg) == []
+        assert sensitivity_resim(cases, cfg) == []
 
     def test_linear_only_variable_rejected_in_resim(self, catalog):
         cfg = SimConfig(horizon=30, replications=2, seed=12)
         params = {p.name: PeriodicReview(30, 3000) for p in catalog}
         with pytest.raises(ConfigError, match="resim"):
             sensitivity_resim(
-                catalog, params, cfg,
+                catalog_cases(catalog, params), cfg,
                 SensitivitySpec("expected_profit", (0.1,)),
             )
 

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -199,25 +199,25 @@ class TestComparePolicies:
     def test_identical_policies_zero_difference(self, catalog):
         cfg = small_cfg(replications=10)
         same = {p.name: ContinuousReview(1000, 2000) for p in catalog}
-        cmp = compare_policies(catalog, cfg, same, same)
+        cmp = compare_policies(catalog_cases(catalog, same), catalog_cases(catalog, same), cfg)
         assert cmp.relative_difference == 0.0
         assert cmp.total_periodic_profit == cmp.total_continuous_profit
 
     def test_deterministic_across_calls(self, catalog):
         cfg = small_cfg(replications=10)
-        pq = {p.name: PeriodicReview(30, 3000) for p in catalog}
-        rq = {p.name: ContinuousReview(1000, 2000) for p in catalog}
-        cmp1 = compare_policies(catalog, cfg, pq, rq)
-        cmp2 = compare_policies(catalog, cfg, pq, rq)
+        pq = catalog_cases(catalog, {p.name: PeriodicReview(30, 3000) for p in catalog})
+        rq = catalog_cases(catalog, {p.name: ContinuousReview(1000, 2000) for p in catalog})
+        cmp1 = compare_policies(pq, rq, cfg)
+        cmp2 = compare_policies(pq, rq, cfg)
         assert cmp1 == cmp2
 
     def test_single_product_totals(self, products):
         cat = Catalog((products[0],))
         cfg = small_cfg(replications=10)
         cmp = compare_policies(
-            cat, cfg,
-            {"PrA": PeriodicReview(30, 2071)},
-            {"PrA": ContinuousReview(870, 1440)},
+            catalog_cases(cat, {"PrA": PeriodicReview(30, 2071)}),
+            catalog_cases(cat, {"PrA": ContinuousReview(870, 1440)}),
+            cfg,
         )
         pq_stats, rq_stats = cmp.per_product["PrA"]
         assert cmp.total_periodic_profit == pq_stats.mean_profit
@@ -228,7 +228,30 @@ class TestComparePolicies:
         pq = {p.name: PeriodicReview(30, 3000) for p in catalog}
         rq = {p.name: ContinuousReview(1000, 2000) for p in list(catalog)[:-1]}
         with pytest.raises(ConfigError, match="PrD"):
-            compare_policies(catalog, cfg, pq, rq)
+            compare_policies(catalog_cases(catalog, pq), catalog_cases(catalog, rq), cfg)
+
+
+    @pytest.mark.parametrize("rq_side", ["missing", "extra", "reordered", "renamed", "twice"])
+    def test_sides_with_differing_products_rejected(self, monkeypatch, catalog, products,
+                                                    rq_side):
+        calls = count_engine_calls(monkeypatch, simengine)
+        cfg = small_cfg(replications=5)
+        pq = catalog_cases(catalog, {p.name: PeriodicReview(30, 3000) for p in catalog})
+        rq = catalog_cases(catalog, {p.name: ContinuousReview(1000, 2000) for p in catalog})
+        if rq_side == "missing":
+            rq = rq[:-1]
+        elif rq_side == "extra":
+            rq = rq + rq[:1]
+        elif rq_side == "reordered":
+            rq = rq[::-1]
+        elif rq_side == "twice":
+            pq, rq = pq + pq[:1], rq + rq[:1]
+        else:
+            other = Catalog((products[0], *[replace(p, name=p.name + "x") for p in products[1:]]))
+            rq = catalog_cases(other, {p.name: ContinuousReview(1000, 2000) for p in other})
+        with pytest.raises(ConfigError, match="must name each product once"):
+            compare_policies(pq, rq, cfg)
+        assert calls == []
 
 
 class TestMixedBatch:
@@ -403,9 +426,9 @@ class TestEngineCalls:
 
     def test_one_call_per_compare(self, monkeypatch, catalog):
         calls = count_engine_calls(monkeypatch, simengine)
-        pq = {p.name: PeriodicReview(30, 3000) for p in catalog}
-        rq = {p.name: ContinuousReview(1000, 2000) for p in catalog}
-        compare_policies(catalog, small_cfg(replications=5), pq, rq)
+        pq = catalog_cases(catalog, {p.name: PeriodicReview(30, 3000) for p in catalog})
+        rq = catalog_cases(catalog, {p.name: ContinuousReview(1000, 2000) for p in catalog})
+        compare_policies(pq, rq, small_cfg(replications=5))
         assert calls == [2 * len(catalog) * 5]
 
 
