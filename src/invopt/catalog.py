@@ -13,16 +13,30 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 
 DAYS_PER_YEAR = 365
 
-CSV_HEADER = (
-    "name,purchase_cost,lead_time,size,selling_price,starting_stock,"
-    "mean,std_dev,order_cost,holding_cost,probability,demand_lead,annual_demand"
-)
+# CSV column -> ProductSpec field, in header order
+_FIELD_BY_COLUMN = {
+    "name": "name",
+    "purchase_cost": "purchase_cost",
+    "lead_time": "lead_time",
+    "size": "unit_size",
+    "selling_price": "selling_price",
+    "starting_stock": "starting_stock",
+    "mean": "daily_order_size_mean",
+    "std_dev": "daily_order_size_std",
+    "order_cost": "order_cost",
+    "holding_cost": "holding_cost",
+    "probability": "order_probability",
+    "demand_lead": "lead_time_demand",
+    "annual_demand": "annual_demand",
+}
+_COLUMNS = list(_FIELD_BY_COLUMN)
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 class ReconciliationWarning(UserWarning):
@@ -123,25 +137,6 @@ def reconcile(spec: ProductSpec) -> ReconciliationReport:
     return ReconciliationReport(spec.name, implied, spec.annual_demand, rel)
 
 
-_COLUMNS = CSV_HEADER.split(",")
-
-# CSV column -> ProductSpec field
-_FIELD_BY_COLUMN = {
-    "name": "name",
-    "purchase_cost": "purchase_cost",
-    "lead_time": "lead_time",
-    "size": "unit_size",
-    "selling_price": "selling_price",
-    "starting_stock": "starting_stock",
-    "mean": "daily_order_size_mean",
-    "std_dev": "daily_order_size_std",
-    "order_cost": "order_cost",
-    "holding_cost": "holding_cost",
-    "probability": "order_probability",
-    "demand_lead": "lead_time_demand",
-    "annual_demand": "annual_demand",
-}
-
 _INT_FIELDS = {"lead_time", "starting_stock"}
 
 
@@ -203,14 +198,9 @@ def write_catalog(catalog: Catalog, path: str) -> None:
 
     Numeric cells use shortest round-tripping repr, so load(write(c)) == c.
     """
-    field_names = {f.name for f in fields(ProductSpec)}
-    assert set(_FIELD_BY_COLUMN.values()) == field_names
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_COLUMNS)
         for p in catalog:
-            row = []
-            for col in _COLUMNS:
-                value = getattr(p, _FIELD_BY_COLUMN[col])
-                row.append(value if isinstance(value, str) else repr(value))
-            writer.writerow(row)
+            values = [getattr(p, field) for field in _FIELD_BY_COLUMN.values()]
+            writer.writerow([v if isinstance(v, str) else repr(v) for v in values])

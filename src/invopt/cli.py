@@ -32,7 +32,9 @@ from .riskmetrics import build_risk_report
 from .sensitivity import (
     SensitivitySpec,
     BaselineOutputs,
+    check_policy_variables,
     policy_safety_stock,
+    policy_variables,
     sensitivity_linear,
     sensitivity_resim,
 )
@@ -433,12 +435,14 @@ def _cmd_optimize(args, catalog) -> int:
 def _cmd_sensitivity(args, catalog) -> int:
     cfg = _sim_config(args)
     cases = _load_cases(args.params, args.policy, catalog)
+    kind = _POLICIES[args.policy]
     if args.variables is not None:
         variables = [v.strip() for v in args.variables.split(",") if v.strip()]
         if not variables:
             raise ConfigError(f"--variables names no variable: {args.variables!r}")
     else:
-        variables = ["oup"] if args.policy == "pq" else ["reorder_point", "order_quantity"]
+        variables = policy_variables(kind)
+    check_policy_variables(kind, variables)
     try:
         deltas = tuple(float(d) for d in args.deltas.split(","))
     except ValueError:

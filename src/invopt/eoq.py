@@ -124,7 +124,8 @@ def build_eoq_report(
     z = z_for_service_level(service_level, legacy_z=legacy_z)
     q = eoq(product.annual_demand, product.order_cost, product.holding_cost)
     cost = total_annual_cost(product.annual_demand, q, product.order_cost, product.holding_cost)
-    profit = product.annual_demand * product.selling_price - cost
+    profit = total_annual_profit(product.annual_demand, product.selling_price, q,
+                                 product.order_cost, product.holding_cost)
     ss = safety_stock(z, product.daily_order_size_std, product.lead_time, review_time)
     rop = reorder_point(product.lead_time_demand, ss)
     avg_inventory = q / 2.0 + ss

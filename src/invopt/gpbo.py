@@ -5,7 +5,7 @@ sequential model-based optimization loop over a bounded box.
 The surrogate is a GP with a squared-exponential kernel (one length scale
 per input dimension).  An optional radial-bump adjustment function kappa(x)
 shifts the prior mean to encode prior beliefs about promising regions;
-setting it to None (or giving it no centers) recovers plain GP regression.
+one with no centers (what None stands for) recovers plain GP regression.
 Hyperparameters are chosen by maximizing the log marginal likelihood with
 multi-start L-BFGS-B on inputs scaled to the unit box and standardized
 outputs.  One raw-LAPACK path serves the likelihood search, the fitted model
@@ -137,10 +137,8 @@ class ConditioningFn:
         return -self.alpha * (np.asarray(self.weights, float) * bumps * inv_h2) @ diff
 
 
-def _kappa(conditioning: ConditioningFn | None, x: np.ndarray) -> np.ndarray:
-    if conditioning is None:
-        return np.zeros(len(np.atleast_2d(x)))
-    return conditioning(x)
+# kappa = 0: what a model fitted or built without conditioning holds
+NO_CONDITIONING = ConditioningFn(0.0)
 
 
 @dataclass
@@ -153,7 +151,7 @@ class GpModel:
     kernel: Kernel
     noise_variance: float
     prior_mean: float
-    conditioning: ConditioningFn | None
+    conditioning: ConditioningFn
     chol: np.ndarray = field(repr=False)
     alpha_vec: np.ndarray = field(repr=False)
     jitter: float
@@ -183,7 +181,8 @@ class GpModel:
                 "covariance matrix not positive definite: training data "
                 "contains non-finite values"
             )
-        mean_adjust = _kappa(conditioning, x)
+        conditioning = conditioning or NO_CONDITIONING
+        mean_adjust = conditioning(x)
         if prior_mean is None:
             prior_mean = float(np.mean(y - mean_adjust))
         residual = y - mean_adjust - prior_mean
@@ -247,10 +246,7 @@ def _posterior_terms(model: GpModel, pts: np.ndarray):
     a = pts / np.asarray(model.kernel.length_scales)
     k_star = _se_cross(model.kernel.signal_variance, a, (a * a).sum(1),
                        model.x_scaled, model.x_sq)
-    prior = model.prior_mean
-    if model.conditioning is not None:
-        prior = prior + model.conditioning(pts)
-    mean = prior + k_star @ model.alpha_vec
+    mean = model.prior_mean + model.conditioning(pts) + k_star @ model.alpha_vec
     # L v = k*^T, solved as solve_triangular does for a C-ordered factor
     v, _ = dtrtrs(model.chol.T, k_star.T, lower=False, trans=True)
     var = np.maximum(model.kernel.signal_variance - (v * v).sum(0), 0.0)
@@ -322,8 +318,8 @@ def gp_fit(
     width = np.where(hi > lo, hi - lo, 1.0)
     x_scaled = (x - lo) / width
 
-    mean_adjust = _kappa(conditioning, x)
-    residual = y - mean_adjust
+    conditioning = conditioning or NO_CONDITIONING
+    residual = y - conditioning(x)
     center = float(np.mean(residual))
     sd = float(np.std(residual - center))
     if sd <= 0 or not math.isfinite(sd):
@@ -466,8 +462,7 @@ def _acquisition_and_grad(
     k_inv_k, _ = dtrtrs(model.chol.T, v, lower=False)
     weights = np.vstack((model.alpha_vec, -2.0 * k_inv_k[:, 0])) * k_star
     d_mean, d_var = weights @ (model.x_scaled - a) / np.asarray(model.kernel.length_scales)
-    if model.conditioning is not None:
-        d_mean = d_mean + model.conditioning.gradient(x)
+    d_mean = d_mean + model.conditioning.gradient(x)
     d_improve = d_mean if direction == "maximize" else -d_mean
     sd = math.sqrt(var[0])
     if sd == 0.0:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import Catalog, ProductSpec
-from .eoq import eoq as economic_order_quantity
+from .eoq import eoq as economic_order_quantity, safety_stock
 from .errors import DomainError
 
 
@@ -110,7 +110,7 @@ def build_risk_report(
     ranking = {p.name: i + 1 for i, p in enumerate(supplier_performance_rank(catalog))}
     reports = []
     for p in catalog:
-        ss = math.ceil(p.daily_order_size_std * math.sqrt(p.lead_time))
+        ss = safety_stock(1.0, p.daily_order_size_std, p.lead_time)
         sl = service_level(p.lead_time_demand, ss, p.starting_stock, 0.0)
         q = economic_order_quantity(p.annual_demand, p.order_cost, p.holding_cost)
         backorders = (1.0 - sl) * p.lead_time_demand

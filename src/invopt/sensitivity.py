@@ -21,7 +21,7 @@ then product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
 from .catalog import ProductSpec
@@ -127,14 +127,27 @@ def sensitivity_linear(
     return rows
 
 
+def policy_variables(kind: type) -> list[str]:
+    """The variables that perturb a field of a `kind` policy, in POLICY_FIELDS order."""
+    own = {f.name for f in fields(kind)}
+    return [variable for variable, field in POLICY_FIELDS.items() if field in own]
+
+
+def check_policy_variables(kind: type, variables: Sequence[str]) -> None:
+    """Raise if a variable perturbs a policy field that a `kind` policy lacks."""
+    own = policy_variables(kind)
+    for variable in variables:
+        if variable in POLICY_FIELDS and variable not in own:
+            raise ConfigError(f"variable {variable!r} perturbs {POLICY_FIELDS[variable]}, "
+                              f"which a {kind.__name__} policy does not have")
+
+
 def _perturb(policy: PolicyParams, variable: str, delta: float, product: str) -> PolicyParams:
     field = POLICY_FIELDS.get(variable)
     if field is None:
         raise ConfigError(f"variable {variable!r} is not resimulatable; "
                           f"choose one of {', '.join(POLICY_FIELDS)}")
-    if not hasattr(policy, field):
-        raise ConfigError(f"variable {variable!r} perturbs {field}, "
-                          f"which a {type(policy).__name__} policy does not have")
+    check_policy_variables(type(policy), [variable])
     value = getattr(policy, field)
     new = int(round(value * (1.0 + delta)))
     if new <= 0:
@@ -157,15 +170,7 @@ def sensitivity_resim(
     runs = simulate_cases([case for _, _, case in perturbed], cfg)
     rows = []
     for (variable, delta, (product, _, policy)), part in zip(perturbed, runs):
-        stats = part.stats()
-        rows.append(SensitivityRow(
-            variable=variable,
-            delta=delta,
-            product=product.name,
-            profit=stats.mean_profit,
-            profit_std=stats.profit_std,
-            lost_orders=stats.lost_order_fraction,
-            safety_stock=policy_safety_stock(product, policy),
-            needs_resim=(),
-        ))
+        outputs = BaselineOutputs.from_stats(part.stats(), policy_safety_stock(product, policy))
+        rows.append(SensitivityRow(variable, delta, product.name, needs_resim=(),
+                                   **asdict(outputs)))
     return rows

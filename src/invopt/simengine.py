@@ -12,12 +12,7 @@ Daily sequence (days are numbered 1..horizon):
    the review period; continuous review orders Q whenever position <= r;
    orders placed at the end of day d arrive at the start of day d + lead
    (lead is clamped to >= 1 day);
-5. accrue holding cost on end-of-day on-hand stock at holding_cost/365.
-
-Profit ledger:  revenue = units sold * price;  product costs = units
-*ordered* * purchase cost;  ordering costs = orders placed * order cost;
-holding costs = on-hand unit-days * holding_cost/365;  annual profit is
-exactly revenue minus the three cost terms.
+5. accrue holding on end-of-day on-hand stock, in unit-days.
 
 Replications are mutually independent: replication i draws demand from
 stream (seed, i, demand lane) and, under MeetOrDelay only, per-order lead
@@ -25,13 +20,14 @@ times from (seed, i, lead lane), so results are reproducible and independent
 of execution order.  The engine takes cases, (product, demand model, policy)
 triples, and a list of replication ids, and runs every case on every id:
 all runs, periodic and continuous review alike, advance in one lockstep day
-loop, and the per-run outcomes come back as one ``RunSamples`` per case, in
-case order.  Every entry point makes one engine call and reduces it:
-statistics, sweeps, comparisons, histograms and the day trajectory are
-reductions of that one batch.  The cases of a batch share its replication
-ids and so read the same uniforms (common random numbers): sweep levels and
-compared policies differ without sampling noise between them, and the
-products of a catalog see comonotone demand within a replication.
+loop, and the per-run unit ledgers come back as one ``RunSamples`` per case,
+in case order, which values them at the case's prices.  Every entry point
+makes one engine call and reduces it: statistics, sweeps, comparisons,
+histograms and the day trajectory are reductions of that one batch.  The
+cases of a batch share its replication ids and so read the same uniforms
+(common random numbers): sweep levels and compared policies differ without
+sampling noise between them, and the products of a catalog see comonotone
+demand within a replication.
 
 The engine takes the replication ids in consecutive blocks of at most
 ``BLOCK_ROWS`` sampled rows, and samples and advances every case's runs on
@@ -171,29 +167,52 @@ class ReplicationStats:
 
 @dataclass(frozen=True, eq=False)
 class RunSamples:
-    """Per-run outcomes of one case of an engine batch (arrays of length R,
-    one entry per replication id, in the batch's id order).
+    """Per-run unit ledgers of one case of an engine batch (int64 arrays of
+    length R, one entry per replication id, in the batch's id order).
+
+    Profit ledger at the product's prices:  revenue = units sold (on time
+    or late) * price;  product costs = units *ordered* * purchase cost;
+    ordering costs = orders placed * order cost;  holding costs = on-hand
+    unit-days * holding_cost/365;  annual profit is exactly revenue minus
+    the three cost terms.
 
     ``records`` is empty unless the batch was asked to record
     (``simulate_once``, ``simulate_cases(..., record=True)``); then it holds
     the case's day trajectory on the batch's first replication id.
     """
 
-    profit: np.ndarray
-    revenue: np.ndarray
-    product_costs: np.ndarray
-    ordering_costs: np.ndarray
-    holding_costs: np.ndarray
+    product: ProductSpec
+    final_on_hand: np.ndarray
+    final_backorders: np.ndarray
     demand_units: np.ndarray
     sold_units: np.ndarray
     unmet_units: np.ndarray
     served_late_units: np.ndarray
-    final_backorders: np.ndarray
     ordered_units: np.ndarray
     orders_placed: np.ndarray
-    final_on_hand: np.ndarray
+    holding_unit_days: np.ndarray
     total_receipts: np.ndarray
     records: tuple[DayRecord, ...] = ()
+
+    @property
+    def revenue(self) -> np.ndarray:
+        return (self.sold_units + self.served_late_units) * self.product.selling_price
+
+    @property
+    def product_costs(self) -> np.ndarray:
+        return self.ordered_units * self.product.purchase_cost
+
+    @property
+    def ordering_costs(self) -> np.ndarray:
+        return self.orders_placed * self.product.order_cost
+
+    @property
+    def holding_costs(self) -> np.ndarray:
+        return self.holding_unit_days * (self.product.holding_cost / DAYS_PER_YEAR)
+
+    @property
+    def profit(self) -> np.ndarray:
+        return self.revenue - self.product_costs - self.ordering_costs - self.holding_costs
 
     @property
     def _never_served(self) -> np.ndarray:
@@ -208,13 +227,14 @@ class RunSamples:
         return np.where(demand > 0, self._never_served / np.maximum(demand, 1), 0.0)
 
     def stats(self) -> ReplicationStats:
-        n = len(self.profit)
+        n = len(self.demand_units)
+        profit = self.profit
         total_demand = int(self.demand_units.sum())
         lost = int(self._never_served.sum()) / total_demand if total_demand > 0 else 0.0
         fill = int(self.sold_units.sum()) / total_demand if total_demand > 0 else 1.0
         return ReplicationStats(
-            mean_profit=float(np.mean(self.profit)),
-            profit_std=float(np.std(self.profit, ddof=1)) if n > 1 else 0.0,
+            mean_profit=float(np.mean(profit)),
+            profit_std=float(np.std(profit, ddof=1)) if n > 1 else 0.0,
             lost_order_fraction=lost,
             fill_rate=fill,
             mean_orders_placed=float(np.mean(self.orders_placed)),
@@ -334,7 +354,7 @@ def _batch_over_reps(
 
         state = np.zeros((10, n_runs), np.int64)
         (on_hand, backorders, demand_units, sold_units, unmet_units, served_late, ordered_units,
-         orders_placed, holding_unit_days, total_receipts) = state  # views: updated in place
+         orders_placed, holding_unit_days, total_receipts) = state  # RunSamples' ledger views
         on_hand += np.repeat(stock_of_case, n_ids)
         on_order = np.zeros(n_runs, np.int64)
         arrivals = np.zeros((window, n_runs), np.int64)  # a day's receipts are one row
@@ -395,27 +415,8 @@ def _batch_over_reps(
             records = [tuple(DayRecord(day, *cells) for day, cells in enumerate(run, 1))
                        for run in trajectory.transpose(2, 0, 1).tolist()]
 
-    # every ledger is (cases, ids); the per-case prices are (cases, 1) columns
-    (final_on_hand, final_backorders, demand_units, sold_units, unmet_units, served_late,
-     ordered_units, orders_placed, holding_unit_days, total_receipts) = ledgers
-    price, unit_cost, order_cost, daily_holding = np.array(
-        [(p.selling_price, p.purchase_cost, p.order_cost, p.holding_cost / DAYS_PER_YEAR)
-         for p in products]).T[:, :, None]
-    revenue = (sold_units + served_late) * price
-    product_costs = ordered_units * unit_cost
-    ordering_costs = orders_placed * order_cost
-    holding_costs = holding_unit_days * daily_holding
-    profit = revenue - product_costs - ordering_costs - holding_costs
-
-    columns = dict(profit=profit, revenue=revenue, product_costs=product_costs,
-                   ordering_costs=ordering_costs, holding_costs=holding_costs,
-                   demand_units=demand_units, sold_units=sold_units, unmet_units=unmet_units,
-                   served_late_units=served_late, final_backorders=final_backorders,
-                   ordered_units=ordered_units, orders_placed=orders_placed,
-                   final_on_hand=final_on_hand, total_receipts=total_receipts)
-    return [RunSamples(**{name: column[c] for name, column in columns.items()},
-                       records=case_records)
-            for c, case_records in enumerate(records)]
+    return [RunSamples(product, *ledgers[:, c], records=case_records)
+            for c, (product, case_records) in enumerate(zip(products, records))]
 
 
 def simulate_once(

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from invopt.catalog import (
     load_catalog,
     reconcile,
     write_catalog,
+    _FIELD_BY_COLUMN,
 )
 from invopt.errors import ParseError, ValidationError
 
@@ -97,6 +99,12 @@ def test_roundtrip_write_then_load(tmp_path, table1_path):
     again = load_catalog(str(out))
     for a, b in zip(cat, again):
         assert a == b  # shortest-repr serialization round-trips exactly
+
+
+def test_every_field_has_one_column():
+    mapped = sorted(_FIELD_BY_COLUMN.values())
+    assert mapped == sorted(f.name for f in fields(ProductSpec))
+    assert CSV_HEADER.split(",") == list(_FIELD_BY_COLUMN)
 
 
 def test_duplicate_names_rejected(products):

@@ -644,6 +644,32 @@ class TestSensitivityCommand:
                 assert out == ""
                 assert err.startswith("config:") and "names no variable" in err
 
+    @pytest.mark.parametrize("mode", ["linear", "resim"])
+    @pytest.mark.parametrize("policy, variable", [("pq", "reorder_point"),
+                                                  ("pq", "order_quantity"), ("rq", "oup")])
+    def test_variable_the_policy_lacks_rejected(self, capsys, table1_path, pq_params_file,
+                                                rq_params_file, mode, policy, variable):
+        params = pq_params_file if policy == "pq" else rq_params_file
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "sensitivity",
+                                 "--mode", mode, "--policy", policy, "--params", params,
+                                 "--variables", variable, "--replications", "2",
+                                 "--horizon", "30")
+        assert code == 2, (mode, policy, variable)
+        assert out == ""
+        assert err.startswith("config:") and "policy does not have" in err
+
+    @pytest.mark.parametrize("policy, expected", [("pq", "oup"),
+                                                  ("rq", "reorder_point,order_quantity")])
+    def test_default_variables_are_the_policy_fields(self, capsys, table1_path,
+                                                     pq_params_file, rq_params_file,
+                                                     policy, expected):
+        params = pq_params_file if policy == "pq" else rq_params_file
+        code, out, _ = run_cli(capsys, "--catalog", table1_path, "sensitivity",
+                               "--policy", policy, "--params", params,
+                               "--replications", "2", "--horizon", "30")
+        assert code == 0
+        assert f"# manifest variables={expected}" in out.splitlines()
+
 
 def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch, table1_path):
     from invopt import cli as cli_module

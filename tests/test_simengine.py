@@ -79,6 +79,27 @@ class TestSimulateOnce:
             run.revenue[0] - run.product_costs[0] - run.ordering_costs[0] - run.holding_costs[0]
         )
 
+    @pytest.mark.parametrize("policy", [PeriodicReview(30, 2071), ContinuousReview(870, 1440)])
+    def test_prices_only_value_the_ledgers(self, pra, policy):
+        # backorders, so that late-served units are valued too
+        cfg = small_cfg(replications=20, unmet_demand=BACKORDER)
+        prices = dict(selling_price=21.5, purchase_cost=9.25, order_cost=640.0, holding_cost=3.5)
+        repriced = replace(pra, **prices)
+        [base] = simulate_cases([(pra, demand_model(pra), policy)], cfg)
+        [runs] = simulate_cases([(repriced, demand_model(repriced), policy)], cfg)
+        assert runs.product is repriced
+        for f in fields(RunSamples)[1:-1]:  # the ten ledgers, between product and records
+            assert getattr(runs, f.name).dtype == np.int64, f.name
+            np.testing.assert_array_equal(getattr(runs, f.name), getattr(base, f.name), f.name)
+        assert runs.served_late_units.any()
+        np.testing.assert_array_equal(runs.revenue,
+                                      (runs.sold_units + runs.served_late_units) * 21.5)
+        np.testing.assert_array_equal(runs.product_costs, runs.ordered_units * 9.25)
+        np.testing.assert_array_equal(runs.ordering_costs, runs.orders_placed * 640.0)
+        np.testing.assert_array_equal(runs.holding_costs, runs.holding_unit_days * (3.5 / 365))
+        np.testing.assert_array_equal(runs.profit, runs.revenue - runs.product_costs
+                                      - runs.ordering_costs - runs.holding_costs)
+
     def test_day_records_consistent(self, pra):
         records = run_once(pra, ContinuousReview(900, 1700), small_cfg()).records
         assert [r.day for r in records] == list(range(1, 366))
