@@ -23,7 +23,10 @@ the same starts.
 A proposal scores a scrambled-Sobol sweep of the box and refines the best
 candidates by L-BFGS-B in unit-box coordinates, with the closed-form gradient
 of EI or PI (through the SE kernel and the conditioning bumps) instead of
-finite differences.
+finite differences.  bo_run starts from a Latin-hypercube design.  Both point
+sets come from _qmc, numpy samplers that give the same bytes as
+scipy.stats.qmc's scrambled Sobol and LatinHypercube for the same seed, so
+gpbo imports no scipy.stats module.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 from scipy.optimize import minimize
 from scipy.special import ndtr
-from scipy.stats import qmc
 
+from ._qmc import latin_hypercube, sobol
 from .errors import ConfigError, DomainError, NumericalError
 
 # Default hyperparameter bounds, applied on the unit-box / standardized scale.
@@ -545,8 +548,7 @@ def propose_next(
     if f_best is None:
         f_best = float(np.max(model.y_train) if direction == "maximize"
                        else np.min(model.y_train))
-    sampler = qmc.Sobol(cfg.dim, scramble=True, seed=cfg.seed if seed is None else seed)
-    base = sampler.random_base2(int(math.log2(N_CANDIDATES)))
+    base = sobol(cfg.dim, int(math.log2(N_CANDIDATES)), cfg.seed if seed is None else seed)
     lo, span = cfg.lo, cfg.hi - cfg.lo
     candidates = lo + base * span
     acquire = expected_improvement if cfg.acquisition == "ei" else probability_of_improvement
@@ -622,8 +624,7 @@ def bo_run(
             ) from exc
         record(pt, val)
 
-    design = qmc.LatinHypercube(cfg.dim, seed=cfg.seed)
-    init_pts = cfg.lo + design.random(cfg.initial_design) * (cfg.hi - cfg.lo)
+    init_pts = cfg.lo + latin_hypercube(cfg.dim, cfg.initial_design, cfg.seed) * (cfg.hi - cfg.lo)
     evaluate_many = getattr(objective, "evaluate_many", None)
     if evaluate_many is None:
         for pt in init_pts:

@@ -16,6 +16,7 @@ is well defined on an open box such as (0, 5000)^k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .simengine import (
     _batch_over_reps,
     demand_model,
 )
+from .stochastic import DemandModel
 
 
 @dataclass(frozen=True)
@@ -59,11 +61,17 @@ class ProfitObjective:
                 f"expected {self.dim} coordinates (one per product), got {pts.shape[1]}"
             )
         levels = np.maximum(np.rint(pts), 1).astype(np.int64)
-        cases = [(product, demand_model(product), self._policy(product, int(level)))
-                 for row in levels for product, level in zip(self.catalog, row)]
+        cases = [(product, model, self._policy(product, int(level)))
+                 for row in levels
+                 for product, model, level in zip(self.catalog, self._demand_models, row)]
         runs = _batch_over_reps(cases, self.cfg, np.arange(self.cfg.replications))
         means = np.array([r.profit.mean() for r in runs]).reshape(len(levels), self.dim)
         return sum(means.T)  # one product at a time, in catalog order (np.sum reassociates)
+
+    @cached_property
+    def _demand_models(self) -> tuple[DemandModel, ...]:
+        """Each product's demand model in catalog order, fit on first use."""
+        return tuple(demand_model(product) for product in self.catalog)
 
     def _policy(self, product: ProductSpec, level: int) -> PolicyParams:
         if self.mode == "rq":

@@ -525,8 +525,7 @@ class TestProposeNext:
         model = self._model_1d()
         cfg = BoConfig(bounds=((0.0, 1.0),), budget=10, initial_design=3, seed=2)
         pt = propose_next(model, cfg, seed=7)
-        from scipy.stats import qmc
-        candidates = qmc.Sobol(1, scramble=True, seed=7).random_base2(9)
+        candidates = gpbo.sobol(1, 9, 7)  # the sweep propose_next scores
         best_raw = np.max(np.asarray(expected_improvement(model, candidates, 0.8)))
         proposal_value = float(np.asarray(expected_improvement(model, pt[None, :], 0.8))[0])
         assert proposal_value >= best_raw - 1e-12

@@ -445,6 +445,21 @@ class TestEngineCalls:
         objective.evaluate_many(np.full((3, len(catalog)), 1500.0))
         assert calls == [3 * len(catalog) * 5]
 
+    def test_demand_models_fitted_once_per_objective(self, monkeypatch, catalog):
+        fits = []
+        fit = DemandModel.from_moments
+
+        def counted(*moments):
+            fits.append(moments)
+            return fit(*moments)
+
+        monkeypatch.setattr(DemandModel, "from_moments", counted)
+        objective = ProfitObjective(catalog, small_cfg(replications=5), "rq")
+        objective.evaluate_many(np.full((12, len(catalog)), 1500.0))
+        assert len(fits) == len(catalog)
+        objective.evaluate_many(np.full((2, len(catalog)), 900.0))
+        assert len(fits) == len(catalog)
+
     def test_one_call_per_compare(self, monkeypatch, catalog):
         calls = count_engine_calls(monkeypatch, simengine)
         pq = catalog_cases(catalog, {p.name: PeriodicReview(30, 3000) for p in catalog})
