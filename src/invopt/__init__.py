@@ -64,11 +64,9 @@ from .riskmetrics import (
     supplier_performance_rank,
 )
 from .sensitivity import (
-    BaselineOutputs,
     SensitivityRow,
     SensitivitySpec,
     policy_safety_stock,
-    sensitivity_linear,
     sensitivity_resim,
 )
 from .simengine import (

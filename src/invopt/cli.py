@@ -29,15 +29,7 @@ from .errors import ConfigError, DomainError, NumericalError, ParseError, Valida
 from .gpbo import BoConfig, ConditioningFn, bo_run
 from .objectives import policy_profit_objective
 from .riskmetrics import build_risk_report
-from .sensitivity import (
-    SensitivitySpec,
-    BaselineOutputs,
-    check_policy_variables,
-    policy_safety_stock,
-    policy_variables,
-    sensitivity_linear,
-    sensitivity_resim,
-)
+from .sensitivity import SensitivitySpec, policy_variables, sensitivity_resim
 from .simengine import (
     DEFAULT_REVIEW_PERIOD,
     MAX_POLICY_UNITS,
@@ -152,8 +144,7 @@ def _build_parser() -> _Parser:
     p_opt.add_argument("--horizon", type=int, default=365)
     p_opt.add_argument("--replications", type=int, default=100)
 
-    p_sens = add_parser("sensitivity", help="one-at-a-time output sensitivity")
-    p_sens.add_argument("--mode", choices=("linear", "resim"), default="linear")
+    p_sens = add_parser("sensitivity", help="one-at-a-time resimulated policy sensitivity")
     p_sens.add_argument("--deltas", default="0.10,-0.05")
     p_sens.add_argument("--policy", choices=("rq", "pq"), required=True)
     p_sens.add_argument("--params", required=True)
@@ -225,9 +216,9 @@ def _load_cases(path: str, policy: str, catalog) -> list:
 _OUTPUT_LOCATIONS = ("out_dir", "emit_trajectory", "emit_histogram")
 
 
-def _write(args, filename: str, rows: list[str], side_files=(), **computed) -> int:
-    """Write each (path, rows) side file whose path is set, then report
-    `filename` (to stdout or --out-dir), all under one manifest: subcommand,
+def _write(args, rows: list[str], side_files=(), **computed) -> int:
+    """Write each (path, rows) side file whose path is set, then the report
+    (to stdout or <out-dir>/<subcommand>.csv), all under one manifest: subcommand,
     catalog, seed, version and rng, then every other argument that has a value
     and the `computed` values, sorted by name.
     """
@@ -245,34 +236,44 @@ def _write(args, filename: str, rows: list[str], side_files=(), **computed) -> i
         if path is not None:
             Path(path).write_text(text(lines), encoding="utf-8")
     if args.out_dir is not None:
-        out = Path(args.out_dir)
-        (out / filename).write_text(text(rows), encoding="utf-8")
-        print(f"wrote {out / filename}", file=sys.stderr)
+        report = _report_path(args)
+        report.write_text(text(rows), encoding="utf-8")
+        print(f"wrote {report}", file=sys.stderr)
     else:
         sys.stdout.write(text(rows))
     return 0
 
 
+def _report_path(args) -> Path:
+    return Path(args.out_dir) / f"{args.subcommand}.csv"
+
+
 def _check_outputs(args) -> None:
     """Raise before any work when an output location cannot be written: an
-    empty path is a config error, --out-dir is created now, and each --emit-*
-    file must sit in an existing, writable directory."""
+    empty path is a config error, --out-dir is created now, each --emit-*
+    file must sit in an existing, writable directory, and no two outputs
+    (the --emit-* files and the report under --out-dir) may be one file."""
+    written = {}
     for name in _OUTPUT_LOCATIONS:
         value = getattr(args, name, None)
         if value is None:
             continue
+        flag = f"--{name.replace('_', '-')}"
         if not value:
-            raise ConfigError(f"--{name.replace('_', '-')} must not be empty")
+            raise ConfigError(f"{flag} must not be empty")
         path = Path(value)
         if name == "out_dir":
             path.mkdir(parents=True, exist_ok=True)
-            directory = path
+            directory, path = path, _report_path(args)
         elif path.is_dir():
             raise IsADirectoryError(f"{value!r} is a directory, not a file")
         else:
             directory = path.parent
         if not directory.is_dir() or not os.access(directory, os.W_OK | os.X_OK):
             raise NotADirectoryError(f"{str(directory)!r} is not a writable directory")
+        other = written.setdefault(path.resolve(), flag)
+        if other != flag:
+            raise ConfigError(f"{other} and {flag} both write {str(path)!r}")
 
 
 def _money(x: float) -> str:
@@ -303,8 +304,8 @@ def _cmd_eoq(args, catalog) -> int:
         ("z_score", [f"{r.z_score:g}" for r in reports]),
         ("service_level", [f"{r.service_level:g}" for r in reports]),
     ]
-    return _write(args, "eoq.csv",
-                  [f"metric,{names}", *(f"{label}," + ",".join(cells) for label, cells in rows)])
+    return _write(args, [f"metric,{names}",
+                         *(f"{label}," + ",".join(cells) for label, cells in rows)])
 
 
 def _cmd_risk(args, catalog) -> int:
@@ -316,7 +317,7 @@ def _cmd_risk(args, catalog) -> int:
             f"{r.p_meet:g},{_money(r.ihc)},{r.expected_backorders:.2f},"
             f"{_money(r.boc)},{r.efr:.4f}"
         )
-    return _write(args, "risk.csv", lines)
+    return _write(args, lines)
 
 
 def _sim_config(args) -> SimConfig:
@@ -348,7 +349,7 @@ def _cmd_simulate(args, catalog) -> int:
                 hist = emit_histogram(values, args.bins).splitlines()[1:]
                 histogram_lines.extend(f"{metric}:{product.name},{row}" for row in hist)
     side_files = ((args.emit_trajectory, trajectory_lines), (args.emit_histogram, histogram_lines))
-    return _write(args, "simulate.csv", lines, side_files, unmet_demand=cfg.unmet_demand)
+    return _write(args, lines, side_files, unmet_demand=cfg.unmet_demand)
 
 
 def _cmd_sweep(args, catalog) -> int:
@@ -367,7 +368,7 @@ def _cmd_sweep(args, catalog) -> int:
              "mean_orders_placed"]
     for oup, stats in results:
         lines.append(f"{oup},{_stats_cells(stats)},{stats.mean_orders_placed:.2f}")
-    return _write(args, "sweep.csv", lines)
+    return _write(args, lines)
 
 
 def _cmd_compare(args, catalog) -> int:
@@ -381,7 +382,7 @@ def _cmd_compare(args, catalog) -> int:
     lines.append(f"TOTAL,pq,{_money(comparison.total_periodic_profit)},,,")
     lines.append(f"TOTAL,rq,{_money(comparison.total_continuous_profit)},,,")
     lines.append(f"TOTAL,relative_difference,{comparison.relative_difference:.4f},,,")
-    return _write(args, "compare.csv", lines)
+    return _write(args, lines)
 
 
 def _cmd_optimize(args, catalog) -> int:
@@ -428,43 +429,31 @@ def _cmd_optimize(args, catalog) -> int:
         incumbent = max(incumbent, value)
         coords = ",".join(f"{v:.2f}" for v in point)
         lines.append(f"{i},{coords},{_money(value)},{_money(incumbent)}")
-    return _write(args, "optimize.csv", lines,
+    return _write(args, lines,
                   best_x=[round(v) for v in result.best_x], best_value=round(result.best_y, 2))
 
 
 def _cmd_sensitivity(args, catalog) -> int:
     cfg = _sim_config(args)
     cases = _load_cases(args.params, args.policy, catalog)
-    kind = _POLICIES[args.policy]
     if args.variables is not None:
         variables = [v.strip() for v in args.variables.split(",") if v.strip()]
         if not variables:
             raise ConfigError(f"--variables names no variable: {args.variables!r}")
     else:
-        variables = policy_variables(kind)
-    check_policy_variables(kind, variables)
+        variables = policy_variables(_POLICIES[args.policy])
     try:
         deltas = tuple(float(d) for d in args.deltas.split(","))
     except ValueError:
         raise ConfigError(f"--deltas must be comma-separated numbers, got {args.deltas!r}") from None
     specs = [SensitivitySpec(variable, deltas) for variable in variables]
-    if args.mode == "resim":
-        rows = sensitivity_resim(cases, cfg, *specs)
-    else:
-        baseline = {
-            p.name: BaselineOutputs.from_stats(runs.stats(), policy_safety_stock(p, policy))
-            for (p, _, policy), runs in zip(cases, simulate_cases(cases, cfg))
-        }
-        rows = sensitivity_linear(baseline, *specs)
-
-    lines = ["variable,delta,product,profit,profit_std,lost_orders,safety_stock,needs_resim"]
-    for row in rows:
+    lines = ["variable,delta,product,profit,profit_std,lost_orders,safety_stock"]
+    for row in sensitivity_resim(cases, cfg, *specs):
         lines.append(
             f"{row.variable},{row.delta:+g},{row.product},{_money(row.profit)},"
-            f"{_money(row.profit_std)},{row.lost_orders:.4f},{row.safety_stock:.1f},"
-            f"{'|'.join(row.needs_resim)}"
+            f"{_money(row.profit_std)},{row.lost_orders:.4f},{row.safety_stock:.1f}"
         )
-    return _write(args, "sensitivity.csv", lines, variables=",".join(variables))
+    return _write(args, lines, variables=",".join(variables))
 
 
 _COMMANDS = {

@@ -1,46 +1,29 @@
 """One-at-a-time sensitivity analysis of simulated policy outcomes.
 
-Two modes:
+Each spec names a policy variable and its deltas.  For every (product,
+demand model, policy) case, the named policy field is scaled by (1 + delta),
+rounded to integer units, and the replications rerun under the baseline seed
+(common random numbers), so a zero delta reproduces the baseline bit-exactly.
+The cases are those built once by ``simengine.catalog_cases``; no demand
+model is fitted here.
 
-* Linear — scale the baseline outputs by (1 + delta) for the declared-linear
-  output (expected profit); profit std dev and the lost-order fraction are
-  never scaled (a fraction cannot scale multiplicatively and stay in [0, 1])
-  and are copied with a requires-resimulation marker.
-* Resimulate — perturb the named policy variable of each (product, demand
-  model, policy) case, round to integer units, and rerun the replications
-  under the baseline seed (common random numbers), so a zero delta
-  reproduces the baseline bit-exactly.  It takes the cases as built once by
-  ``simengine.catalog_cases`` and fits no demand model of its own.
-
-Both modes take any number of specs; resimulation runs every (variable,
-delta, product) case in one engine call.  Emitted rows cover every
-(delta, product) pair of every spec in a fixed order: variable, then delta,
-then product.
+Every (variable, delta, product) case of every spec runs in one engine
+call.  Rows come in a fixed order: variable, then delta, then product.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 from .catalog import ProductSpec
 from .errors import ConfigError
-from .simengine import (
-    Case,
-    ContinuousReview,
-    PolicyParams,
-    ReplicationStats,
-    SimConfig,
-    simulate_cases,
-)
+from .simengine import Case, ContinuousReview, PolicyParams, SimConfig, simulate_cases
 
-# the policy field each resimulatable variable perturbs
+# the policy field each sensitivity variable perturbs
 POLICY_FIELDS = {"oup": "order_up_to", "reorder_point": "reorder_point",
                  "order_quantity": "order_quantity"}
-LINEAR_ONLY_VARIABLES = ("expected_profit", "selling_price", "safety_stock")
-NONLINEAR_OUTPUTS = ("profit_std", "lost_orders")
-KNOWN_VARIABLES = (*POLICY_FIELDS, *LINEAR_ONLY_VARIABLES, *NONLINEAR_OUTPUTS)
 
 DEFAULT_DELTAS = (0.10, -0.05)
 
@@ -51,10 +34,10 @@ class SensitivitySpec:
     deltas: tuple[float, ...] = DEFAULT_DELTAS
 
     def __post_init__(self) -> None:
-        if self.variable not in KNOWN_VARIABLES:
+        if self.variable not in POLICY_FIELDS:
             raise ConfigError(
                 f"unknown sensitivity variable {self.variable!r}; "
-                f"known: {', '.join(KNOWN_VARIABLES)}"
+                f"known: {', '.join(POLICY_FIELDS)}"
             )
         if not self.deltas:
             raise ConfigError("deltas must not be empty")
@@ -62,19 +45,6 @@ class SensitivitySpec:
             raise ConfigError("every delta must be finite")
         if any(d <= -1.0 for d in self.deltas):
             raise ConfigError("every delta must be > -1")
-
-
-@dataclass(frozen=True)
-class BaselineOutputs:
-    profit: float
-    profit_std: float
-    lost_orders: float
-    safety_stock: float
-
-    @classmethod
-    def from_stats(cls, stats: ReplicationStats, safety_stock: float) -> "BaselineOutputs":
-        return cls(stats.mean_profit, stats.profit_std, stats.lost_order_fraction,
-                   safety_stock)
 
 
 @dataclass(frozen=True)
@@ -86,7 +56,6 @@ class SensitivityRow:
     profit_std: float
     lost_orders: float
     safety_stock: float
-    needs_resim: tuple[str, ...]    # outputs copied unscaled in linear mode
 
 
 def policy_safety_stock(product: ProductSpec, policy: PolicyParams) -> float:
@@ -102,52 +71,17 @@ def policy_safety_stock(product: ProductSpec, policy: PolicyParams) -> float:
     return max(policy.order_up_to - coverage, 0.0)
 
 
-def sensitivity_linear(
-    baseline: Mapping[str, BaselineOutputs], *specs: SensitivitySpec
-) -> list[SensitivityRow]:
-    """Scale baseline outputs by (1 + delta) under the linearity assumption."""
-    rows = []
-    for spec in specs:
-        scale_profit = spec.variable not in NONLINEAR_OUTPUTS
-        scale_safety = spec.variable == "safety_stock"
-        marked = NONLINEAR_OUTPUTS if scale_profit else (*NONLINEAR_OUTPUTS, "profit")
-        for delta in spec.deltas:
-            for name, base in baseline.items():
-                rows.append(SensitivityRow(
-                    variable=spec.variable,
-                    delta=delta,
-                    product=name,
-                    profit=base.profit * (1.0 + delta) if scale_profit else base.profit,
-                    profit_std=base.profit_std,
-                    lost_orders=base.lost_orders,
-                    safety_stock=base.safety_stock * (1.0 + delta) if scale_safety
-                    else base.safety_stock,
-                    needs_resim=marked,
-                ))
-    return rows
-
-
 def policy_variables(kind: type) -> list[str]:
     """The variables that perturb a field of a `kind` policy, in POLICY_FIELDS order."""
     own = {f.name for f in fields(kind)}
     return [variable for variable, field in POLICY_FIELDS.items() if field in own]
 
 
-def check_policy_variables(kind: type, variables: Sequence[str]) -> None:
-    """Raise if a variable perturbs a policy field that a `kind` policy lacks."""
-    own = policy_variables(kind)
-    for variable in variables:
-        if variable in POLICY_FIELDS and variable not in own:
-            raise ConfigError(f"variable {variable!r} perturbs {POLICY_FIELDS[variable]}, "
-                              f"which a {kind.__name__} policy does not have")
-
-
 def _perturb(policy: PolicyParams, variable: str, delta: float, product: str) -> PolicyParams:
-    field = POLICY_FIELDS.get(variable)
-    if field is None:
-        raise ConfigError(f"variable {variable!r} is not resimulatable; "
-                          f"choose one of {', '.join(POLICY_FIELDS)}")
-    check_policy_variables(type(policy), [variable])
+    field = POLICY_FIELDS[variable]
+    if variable not in policy_variables(type(policy)):
+        raise ConfigError(f"variable {variable!r} perturbs {field}, "
+                          f"which a {type(policy).__name__} policy does not have")
     value = getattr(policy, field)
     new = int(round(value * (1.0 + delta)))
     if new <= 0:
@@ -170,7 +104,8 @@ def sensitivity_resim(
     runs = simulate_cases([case for _, _, case in perturbed], cfg)
     rows = []
     for (variable, delta, (product, _, policy)), part in zip(perturbed, runs):
-        outputs = BaselineOutputs.from_stats(part.stats(), policy_safety_stock(product, policy))
-        rows.append(SensitivityRow(variable, delta, product.name, needs_resim=(),
-                                   **asdict(outputs)))
+        stats = part.stats()
+        rows.append(SensitivityRow(variable, delta, product.name, stats.mean_profit,
+                                   stats.profit_std, stats.lost_order_fraction,
+                                   policy_safety_stock(product, policy)))
     return rows

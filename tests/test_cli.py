@@ -249,6 +249,25 @@ class TestSimulateCommand:
         assert list(out_dir.iterdir()) == []
         assert calls == []
 
+    @pytest.mark.parametrize("outputs", [
+        ("--emit-trajectory", "{d}/x.csv", "--emit-histogram", "{d}/x.csv"),
+        ("--emit-histogram", "{d}/x.csv", "--emit-trajectory", "{d}/../out/./x.csv"),
+        ("--out-dir", "{d}", "--emit-histogram", "{d}/simulate.csv"),
+        ("--out-dir", "{d}", "--emit-trajectory", "{d}/../out/simulate.csv"),
+    ])
+    def test_two_outputs_to_one_file_rejected(self, capsys, monkeypatch, tmp_path, table1_path,
+                                              pq_params_file, outputs):
+        calls = count_engine_calls(monkeypatch, simengine)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "simulate", "--policy", "pq",
+                                 "--params", pq_params_file, "--replications", "4",
+                                 *(a.format(d=out_dir) for a in outputs))
+        assert code == 2
+        assert out == "" and err.startswith("config:") and "both write" in err
+        assert list(out_dir.iterdir()) == []
+        assert calls == []
+
     @pytest.mark.parametrize("flag", ["--emit-histogram", "--emit-trajectory", "--out-dir"])
     def test_empty_output_path_rejected(self, capsys, monkeypatch, table1_path,
                                         pq_params_file, flag):
@@ -576,21 +595,10 @@ class TestOptimizeInputs:
 
 
 class TestSensitivityCommand:
-    def test_linear_rows(self, capsys, table1_path, pq_params_file):
-        code, out, _ = run_cli(capsys, "--catalog", table1_path, "sensitivity",
-                               "--mode", "linear", "--policy", "pq",
-                               "--params", pq_params_file, "--replications", "5",
-                               "--horizon", "60")
-        assert code == 0
-        data = [l for l in out.splitlines() if not l.startswith("#")]
-        assert data[0].startswith("variable,delta,product")
-        assert len(data) == 1 + 2 * 4  # two default deltas x four products
-
     def test_resim_rows(self, capsys, table1_path, rq_params_file):
         code, out, _ = run_cli(capsys, "--catalog", table1_path, "sensitivity",
-                               "--mode", "resim", "--policy", "rq",
-                               "--params", rq_params_file, "--replications", "4",
-                               "--horizon", "60")
+                               "--policy", "rq", "--params", rq_params_file,
+                               "--replications", "4", "--horizon", "60")
         assert code == 0
         data = [l for l in out.splitlines() if not l.startswith("#")]
         # two variables x two deltas x four products
@@ -599,7 +607,7 @@ class TestSensitivityCommand:
     def test_resim_one_engine_call_per_variable(self, capsys, monkeypatch, table1_path,
                                                 rq_params_file):
         calls = count_engine_calls(monkeypatch, simengine)
-        code, _, _ = run_cli(capsys, "--catalog", table1_path, "sensitivity", "--mode", "resim",
+        code, _, _ = run_cli(capsys, "--catalog", table1_path, "sensitivity",
                              "--policy", "rq", "--params", rq_params_file,
                              "--deltas", "0.1,-0.05,0.2", "--replications", "3",
                              "--horizon", "30")
@@ -616,47 +624,86 @@ class TestSensitivityCommand:
             return fit(product)
 
         monkeypatch.setattr(simengine, "demand_model", counted)
-        code, _, _ = run_cli(capsys, "--catalog", table1_path, "sensitivity", "--mode", "resim",
+        code, _, _ = run_cli(capsys, "--catalog", table1_path, "sensitivity",
                              "--policy", "rq", "--params", rq_params_file,
                              "--replications", "3", "--horizon", "30")
         assert code == 0
         assert fitted == ["PrA", "PrB", "PrC", "PrD"]
 
     def test_bad_deltas(self, capsys, table1_path, pq_params_file):
-        for mode in ("linear", "resim"):
-            for deltas in ("ten-percent", "nan", "inf", "0.1,-inf"):
-                code, out, err = run_cli(capsys, "--catalog", table1_path, "sensitivity",
-                                         "--mode", mode, "--policy", "pq",
-                                         "--params", pq_params_file, "--deltas", deltas,
-                                         "--replications", "2", "--horizon", "30")
-                assert code == 2, (mode, deltas)
-                assert out == ""
-                assert err.startswith("config:")
+        for deltas in ("ten-percent", "nan", "inf", "0.1,-inf"):
+            code, out, err = run_cli(capsys, "--catalog", table1_path, "sensitivity",
+                                     "--policy", "pq", "--params", pq_params_file,
+                                     "--deltas", deltas, "--replications", "2", "--horizon", "30")
+            assert code == 2, deltas
+            assert out == ""
+            assert err.startswith("config:")
 
     def test_empty_variable_list_rejected(self, capsys, table1_path, pq_params_file):
-        for mode in ("linear", "resim"):
-            for variables in (",", " , ,", "", " "):
-                code, out, err = run_cli(capsys, "--catalog", table1_path, "sensitivity",
-                                         "--mode", mode, "--policy", "pq",
-                                         "--params", pq_params_file, "--variables", variables,
-                                         "--replications", "2", "--horizon", "30")
-                assert code == 2, (mode, variables)
-                assert out == ""
-                assert err.startswith("config:") and "names no variable" in err
+        for variables in (",", " , ,", "", " "):
+            code, out, err = run_cli(capsys, "--catalog", table1_path, "sensitivity",
+                                     "--policy", "pq", "--params", pq_params_file,
+                                     "--variables", variables, "--replications", "2",
+                                     "--horizon", "30")
+            assert code == 2, variables
+            assert out == ""
+            assert err.startswith("config:") and "names no variable" in err
 
-    @pytest.mark.parametrize("mode", ["linear", "resim"])
     @pytest.mark.parametrize("policy, variable", [("pq", "reorder_point"),
                                                   ("pq", "order_quantity"), ("rq", "oup")])
-    def test_variable_the_policy_lacks_rejected(self, capsys, table1_path, pq_params_file,
-                                                rq_params_file, mode, policy, variable):
+    def test_variable_the_policy_lacks_rejected(self, capsys, monkeypatch, table1_path,
+                                                pq_params_file, rq_params_file, policy,
+                                                variable):
+        calls = count_engine_calls(monkeypatch, simengine)
         params = pq_params_file if policy == "pq" else rq_params_file
         code, out, err = run_cli(capsys, "--catalog", table1_path, "sensitivity",
-                                 "--mode", mode, "--policy", policy, "--params", params,
+                                 "--policy", policy, "--params", params,
                                  "--variables", variable, "--replications", "2",
                                  "--horizon", "30")
-        assert code == 2, (mode, policy, variable)
+        assert code == 2, (policy, variable)
         assert out == ""
         assert err.startswith("config:") and "policy does not have" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("variable", ["expected_profit", "selling_price", "safety_stock",
+                                          "profit_std", "lost_orders"])
+    def test_output_variable_rejected(self, capsys, table1_path, rq_params_file, variable):
+        code, out, err = run_cli(capsys, "--catalog", table1_path, "sensitivity",
+                                 "--policy", "rq", "--params", rq_params_file,
+                                 "--variables", variable, "--replications", "2",
+                                 "--horizon", "30")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config:") and "unknown sensitivity variable" in err
+
+    def test_mode_flag_rejected(self, capsys, table1_path, rq_params_file):
+        for mode in ("linear", "resim"):
+            code, out, err = run_cli(capsys, "--catalog", table1_path, "sensitivity",
+                                     "--mode", mode, "--policy", "rq",
+                                     "--params", rq_params_file, "--replications", "2")
+            assert code == 2
+            assert out == ""
+            assert "unrecognized arguments: --mode" in err
+
+    @pytest.mark.parametrize("policy", ["pq", "rq"])
+    def test_zero_delta_equals_simulate(self, capsys, table1_path, pq_params_file,
+                                        rq_params_file, policy):
+        params = pq_params_file if policy == "pq" else rq_params_file
+        run = ["--catalog", table1_path, "--seed", "11"]
+        tail = ["--policy", policy, "--params", params, "--replications", "300"]
+        reports = []
+        for command in (["simulate"], ["sensitivity", "--deltas", "0"]):
+            code, out, _ = run_cli(capsys, *run, *command, *tail)
+            assert code == 0
+            header, *rows = [line for line in out.splitlines() if not line.startswith("#")]
+            reports.append([dict(zip(header.split(","), row.split(","))) for row in rows])
+        simulated, perturbed = reports
+        cells = {row["product"]: (row["mean_profit"], row["profit_std"],
+                                  row["lost_order_fraction"]) for row in simulated}
+        assert len(perturbed) == len(cells) * (1 if policy == "pq" else 2)
+        for row in perturbed:
+            assert (row["profit"], row["profit_std"], row["lost_orders"]) == \
+                cells[row["product"]], row
 
     @pytest.mark.parametrize("policy, expected", [("pq", "oup"),
                                                   ("rq", "reorder_point,order_quantity")])
@@ -698,7 +745,7 @@ def test_out_dir_writes_files(capsys, tmp_path, table1_path):
     ["simulate", "--policy", "pq", "--params", "PQ", "--replications", "2"],
     ["sweep", "--product", "PrA", "--oup-range", "1800:2100", "--replications", "2"],
     ["compare", "--pq-params", "PQ", "--rq-params", "RQ", "--replications", "2"],
-    ["sensitivity", "--mode", "resim", "--policy", "rq", "--params", "RQ",
+    ["sensitivity", "--policy", "rq", "--params", "RQ",
      "--replications", "2"],
     ["optimize", "--budget", "5", "--initial-design", "4", "--replications", "2"],
 ])
@@ -737,7 +784,7 @@ def input_files(tmp_path, pq_params_file, rq_params_file):
      "--horizon", "30"],
     ["optimize", "--bounds", "BOUNDS", "--conditioning", "COND", "--acquisition", "pi",
      "--budget", "5", "--initial-design", "4", "--replications", "2", "--horizon", "30"],
-    ["sensitivity", "--mode", "resim", "--policy", "pq", "--params", "PQ",
+    ["sensitivity", "--policy", "pq", "--params", "PQ",
      "--variables", "oup", "--replications", "2", "--horizon", "30"],
 ])
 def test_manifest_records_every_argument(capsys, tmp_path, table1_path, input_files, argv):

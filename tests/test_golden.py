@@ -163,7 +163,7 @@ def test_sensitivity_resim_golden(catalog):
                              SensitivitySpec("order_quantity", (0.1, -0.05)))
 
     def row(delta, product, profit, std, lost, safety):
-        return SensitivityRow("order_quantity", delta, product, profit, std, lost, safety, ())
+        return SensitivityRow("order_quantity", delta, product, profit, std, lost, safety)
 
     assert rows == [
         row(0.1, "PrA", 93507.07872146122, 7731.594398827155, 0.004669500055922157, 165.0),
@@ -211,6 +211,32 @@ def test_simulate_files_golden(tmp_path, table1_path, policy, params):
         rows = [line for line in lines if not line.startswith("#")][1:]
         digests[name] = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digests == SIMULATE_FILES_GOLDEN[policy]
+
+
+SENSITIVITY_REPORT_GOLDEN = {
+    "rq": "13f2ce439ba220962ae4aca82d6338bc918bba62266ca1170193582cd1a91be9",
+    "pq": "323862276ad009d6cef8284a69a507b224d823e2ba1e6457443ba94f0c46c0b7",
+}
+
+
+@pytest.mark.parametrize("policy, params", [("rq", RQ_PARAMS), ("pq", PQ_PARAMS)])
+def test_sensitivity_report_golden(tmp_path, table1_path, policy, params):
+    # data rows of the default report: every variable of the policy at the
+    # default deltas; 500 replications of 4 products span more than one engine block
+    replications = 500
+    assert replications > simengine.BLOCK_ROWS // len(params)
+    params_file = tmp_path / "params.json"
+    params_file.write_text(json.dumps({name: asdict(p) for name, p in params.items()}))
+    out = tmp_path / "out"
+    assert main(["--catalog", table1_path, "--seed", "7", "--out-dir", str(out), "sensitivity",
+                 "--policy", policy, "--params", str(params_file),
+                 "--replications", str(replications)]) == 0
+    lines = (out / "sensitivity.csv").read_text(encoding="utf-8").splitlines()
+    assert not any(line.startswith("# manifest mode=") for line in lines)
+    header, *rows = [line for line in lines if not line.startswith("#")]
+    assert header == "variable,delta,product,profit,profit_std,lost_orders,safety_stock"
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == SENSITIVITY_REPORT_GOLDEN[policy]
 
 
 # --- optimizer trajectories -------------------------------------------------

@@ -4,13 +4,7 @@ import pytest
 from invopt import simengine
 from invopt.catalog import Catalog
 from invopt.errors import ConfigError
-from invopt.sensitivity import (
-    BaselineOutputs,
-    SensitivitySpec,
-    policy_safety_stock,
-    sensitivity_linear,
-    sensitivity_resim,
-)
+from invopt.sensitivity import SensitivitySpec, policy_safety_stock, sensitivity_resim
 from invopt.simengine import (
     ContinuousReview,
     PeriodicReview,
@@ -29,66 +23,13 @@ def demand_for(product):
     )
 
 
-@pytest.fixture()
-def baseline():
-    return {
-        "PrA": BaselineOutputs(profit=100_000.0, profit_std=5_000.0,
-                               lost_orders=0.07, safety_stock=61.0),
-        "PrB": BaselineOutputs(profit=372_000.0, profit_std=1_400.0,
-                               lost_orders=0.01, safety_stock=43.0),
-    }
-
-
 class TestLinearMode:
-    def test_zero_delta_identity(self, baseline):
-        rows = sensitivity_linear(baseline, SensitivitySpec("oup", (0.0,)))
-        for row in rows:
-            base = baseline[row.product]
-            assert row.profit == base.profit
-            assert row.profit_std == base.profit_std
-            assert row.lost_orders == base.lost_orders
-
-    def test_ten_percent_increase(self, baseline):
-        rows = sensitivity_linear(baseline, SensitivitySpec("oup", (0.10,)))
-        by_product = {r.product: r for r in rows}
-        assert by_product["PrA"].profit == pytest.approx(110_000.0)
-
-    def test_five_percent_decrease_all_products(self, baseline):
-        rows = sensitivity_linear(baseline, SensitivitySpec("expected_profit", (-0.05,)))
-        for row in rows:
-            assert row.profit == pytest.approx(0.95 * baseline[row.product].profit)
-
-    def test_involution(self, baseline):
-        delta = 0.10
-        rows = sensitivity_linear(baseline, SensitivitySpec("oup", (delta,)))
-        for row in rows:
-            recovered = row.profit / (1.0 + delta)
-            assert recovered == pytest.approx(baseline[row.product].profit, abs=1e-12)
-
-    def test_nonlinear_outputs_marked(self, baseline):
-        rows = sensitivity_linear(baseline, SensitivitySpec("oup", (0.10,)))
-        for row in rows:
-            assert "profit_std" in row.needs_resim
-            assert "lost_orders" in row.needs_resim
-            assert row.profit_std == baseline[row.product].profit_std
-
-    def test_perturbing_nonlinear_variable_copies_profit(self, baseline):
-        rows = sensitivity_linear(baseline, SensitivitySpec("profit_std", (0.10,)))
-        for row in rows:
-            assert row.profit == baseline[row.product].profit
-            assert "profit" in row.needs_resim
-
-    def test_rows_cover_deltas_times_products(self, baseline):
-        spec = SensitivitySpec("oup", (0.10, -0.05, 0.25))
-        rows = sensitivity_linear(baseline, spec)
-        combos = {(r.delta, r.product) for r in rows}
-        assert combos == {(d, p) for d in spec.deltas for p in baseline}
-        # fixed emission order: delta, then product
-        assert [r.delta for r in rows] == [0.10, 0.10, -0.05, -0.05, 0.25, 0.25]
+    """The retired linear mode's spec checks, which `SensitivitySpec` still makes."""
 
     def test_unknown_variable_rejected(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            SensitivitySpec("price_of_tea", (0.1,))
+        for variable in ("price_of_tea", "expected_profit"):  # an output is not a variable
+            with pytest.raises(ConfigError, match="unknown sensitivity variable"):
+                SensitivitySpec(variable, (0.1,))
 
     def test_bad_deltas_rejected(self):
         with pytest.raises(ConfigError):
@@ -98,14 +39,6 @@ class TestLinearMode:
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConfigError, match="finite"):
                 SensitivitySpec("oup", (0.1, bad))
-
-
-    def test_several_specs_concatenate(self, baseline):
-        specs = (SensitivitySpec("oup", (0.1, -0.05)), SensitivitySpec("profit_std", (0.2,)),
-                 SensitivitySpec("safety_stock", (0.3,)))
-        rows = sensitivity_linear(baseline, *specs)
-        assert rows == [row for spec in specs for row in sensitivity_linear(baseline, spec)]
-        assert sensitivity_linear(baseline) == []
 
 
 class TestResimMode:
@@ -163,7 +96,7 @@ class TestResimMode:
         pra = products[0]
         cat = Catalog((pra,))
         cfg = SimConfig(horizon=30, replications=2, seed=10)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="policy does not have"):
             sensitivity_resim(
                 catalog_cases(cat, {"PrA": ContinuousReview(900, 1700)}), cfg,
                 SensitivitySpec("oup", (0.1,)),
@@ -192,11 +125,12 @@ class TestResimMode:
     def test_linear_only_variable_rejected_in_resim(self, catalog):
         cfg = SimConfig(horizon=30, replications=2, seed=12)
         params = {p.name: PeriodicReview(30, 3000) for p in catalog}
-        with pytest.raises(ConfigError, match="resim"):
-            sensitivity_resim(
-                catalog_cases(catalog, params), cfg,
-                SensitivitySpec("expected_profit", (0.1,)),
-            )
+        for output in ("expected_profit", "selling_price", "safety_stock", "profit_std",
+                       "lost_orders"):
+            with pytest.raises(ConfigError, match="unknown sensitivity variable"):
+                sensitivity_resim(
+                    catalog_cases(catalog, params), cfg, SensitivitySpec(output, (0.1,)),
+                )
 
 
 class TestPolicySafetyStock:
